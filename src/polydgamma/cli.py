@@ -359,6 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("auto", "series", "polygamma", "integral", "asymptotic"),
         default="auto",
+        help="evaluation route; auto is the canonical series, the others are "
+        "explicit cross-checks that the identity audit also runs",
     )
     common(p_eval)
     p_eval.set_defaults(func=run_eval)

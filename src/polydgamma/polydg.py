@@ -8,8 +8,12 @@ together with the first logarithmic derivative psi2(x) (its own series) and
 log G(x) itself.  psi2^(n) is evaluated by four independent routes - direct
 series, polygamma combination, Laplace-transform quadrature, and a Bernoulli
 asymptotic expansion with an exact integral remainder - which cross-check
-one another.  Differentiation in x is closed: d/dx psi2^(n) = psi2^(n+1),
-so derivative-sign questions downstream reduce to direct evaluations.
+one another.  The series is canonical: ``auto`` and the cache use it, and
+the other routes are explicit choices that the identity audit also checks.
+The series tails of psi2^(n) and psi2, like the Hurwitz zeta behind log G,
+are summed by the one Euler-Maclaurin engine in :mod:`specfun`.
+Differentiation in x is closed: d/dx psi2^(n) = psi2^(n+1), so
+derivative-sign questions downstream reduce to direct evaluations.
 """
 
 from __future__ import annotations
@@ -27,17 +31,12 @@ from .specfun import (
     DEFAULT_PRECISION,
     EvalResult,
     Precision,
+    euler_maclaurin_tail,
     hurwitz_zeta,
     polygamma,
 )
 
 METHODS = ("series", "polygamma", "integral", "asymptotic", "auto")
-
-# Auto dispatch: the direct series (with Euler-Maclaurin tail) is cheap and
-# accurate for moderate x or high order; past the shift threshold the
-# Bernoulli expansion with the remainder dropped is faster and its first
-# omitted term is already negligible.
-AUTO_SERIES_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -113,29 +112,18 @@ def psi2_series(arg: PolyDoubleArg, prec: Precision = DEFAULT_PRECISION) -> Eval
     for k in range(head_terms):
         head += (1 + k) * (x + k) ** (-(n + 1))
 
-    K = mpf(head_terms)
-    base = x + K
-    tail = base ** (1 - n) / (n - 1) + c * base ** (-n) / n  # integral comparison
-    tail += (base ** (-n) + c * base ** (-(n + 1))) / 2
-    err = abs(tail)
-    prev = mpf("inf")
-    for j in range(1, 15):
-        q = 2 * j - 1
-        deriv = (-1) ** q * (
-            mp.rf(n, q) * base ** (-n - q) + c * mp.rf(n + 1, q) * base ** (-n - 1 - q)
-        )
-        term = BERNOULLI[2 * j] / mp.factorial(2 * j) * deriv
-        tail -= term
-        # The two powers can cancel exactly at isolated (x, j); demand two
-        # consecutive small terms before trusting convergence, and report
-        # the larger of the pair as the error.
-        err = max(abs(term), prev) if prev != mpf("inf") else abs(term)
-        threshold = max(mpf(prec.abs_tol) * mpf("1e-8"), mpf(10) ** (-mp.dps - 2))
-        if abs(term) < threshold and prev < threshold:
-            break
-        prev = abs(term)
+    base = x + head_terms
+    # Stop relative to the whole sum, head plus the tail's leading integral.
+    scale = head + base ** (1 - n) / (n - 1)
+    tail, err = euler_maclaurin_tail(
+        [(1, base, n), (c, base, n + 1)], mpf(10) ** (-mp.dps - 2) * scale
+    )
     value = sign * fact * (head + tail)
-    return EvalResult(value=value, error=float(fact * err) + 1e-30, method="series")
+    # Each head term is rounded at working precision.
+    rounding = abs(value) * head_terms * mpf(10) ** (-mp.dps)
+    return EvalResult(
+        value=value, error=float(fact * err + rounding) + 1e-30, method="series"
+    )
 
 
 def psi2_from_polygamma(
@@ -239,18 +227,14 @@ def asymptotic_bernoulli_sum(arg: PolyDoubleArg, n_blocks: int):
     return sign * total, omitted
 
 
-def psi2_asymptotic(
-    arg: PolyDoubleArg, params: AsymptoticParams = AsymptoticParams()
-) -> EvalResult:
-    """psi2^(n)(x+1) from the shifted-argument expansion at x = arg.x.
+def asymptotic_closed_form(arg: PolyDoubleArg) -> EvalResult:
+    """Closed-form part of the expansion of psi2^(n)(x+1) at x = arg.x.
 
-    Closed-form part (n-fold derivative of the first-derivative expansion):
+    The n-fold derivative of the first-derivative expansion:
 
         -x psi^(n)(x+1) - (n+1) psi^(n-1)(x+1)
         + (-1)^n (n-2)!/x^(n-1) + (-1)^(n-1) (n-1)!/(2 x^n)
         + (-1)^n n!/(12 x^(n+1))
-
-    plus sigma_n(x) and, when requested, the exact remainder tau_n(x).
     """
     n, x = arg.n, arg.x
     pg_hi = polygamma(n, x + 1)
@@ -259,9 +243,22 @@ def psi2_asymptotic(
     value += mpf(-1) ** n * mp.factorial(n - 2) / x ** (n - 1)
     value += mpf(-1) ** (n - 1) * mp.factorial(n - 1) / (2 * x ** n)
     value += mpf(-1) ** n * mp.factorial(n) / (12 * x ** (n + 1))
-    sigma, omitted = asymptotic_bernoulli_sum(arg, params.terms)
-    value += sigma
     err = float(x) * pg_hi.error + (n + 1) * pg_lo.error
+    return EvalResult(value=value, error=err, method="asymptotic-closed-form")
+
+
+def psi2_asymptotic(
+    arg: PolyDoubleArg, params: AsymptoticParams = AsymptoticParams()
+) -> EvalResult:
+    """psi2^(n)(x+1) from the shifted-argument expansion at x = arg.x.
+
+    The closed-form part (:func:`asymptotic_closed_form`) plus sigma_n(x)
+    and, when requested, the exact remainder tau_n(x).
+    """
+    closed = asymptotic_closed_form(arg)
+    sigma, omitted = asymptotic_bernoulli_sum(arg, params.terms)
+    value = closed.value + sigma
+    err = closed.error
     if params.include_remainder:
         tau = asymptotic_remainder(arg, params)
         value += tau.value
@@ -295,7 +292,14 @@ def psi2_eval(
     method: str = "auto",
     prec: Precision = DEFAULT_PRECISION,
 ) -> EvalResult:
-    """Dispatch to one of the evaluation routes; ``auto`` picks per argument."""
+    """Evaluate psi2^(n)(x) by the named route.
+
+    ``auto`` is the canonical series at every argument; past the shift
+    threshold it is also faster and more accurate than the expansion.
+    ``polygamma``, ``integral`` and ``asymptotic`` (the recurrence-shifted
+    Bernoulli expansion with the remainder dropped) are explicit
+    cross-checks, which the identity audit also exercises.
+    """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "series":
@@ -306,10 +310,7 @@ def psi2_eval(
         return psi2_integral(arg, tol=prec.abs_tol)
     if method == "asymptotic":
         return _via_asymptotic(arg, prec)
-    # auto
-    if arg.x <= prec.shift_threshold or arg.n >= AUTO_SERIES_ORDER:
-        return psi2_series(arg, prec)
-    return _via_asymptotic(arg, prec)
+    return psi2_series(arg, prec)
 
 
 @lru_cache(maxsize=200000)
@@ -318,7 +319,7 @@ def _cached_value(n: int, x: mpf) -> EvalResult:
 
 
 def psi2_cached(n: int, x) -> EvalResult:
-    """Memoized auto-dispatch evaluation at default precision."""
+    """Memoized canonical-series evaluation at default precision."""
     return _cached_value(n, mpf(x))
 
 
@@ -347,25 +348,11 @@ def psi2_didouble(x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
     for k in range(head_terms):
         head += (x - 1) ** 2 / ((k + 1) * (x + k))
 
-    K = mpf(head_terms)
     s = x - 1
-
-    def f(t):
-        return s * (1 / (t + 1) - 1 / (t + x))
-
-    def f_deriv(q, t):
-        return s * (-1) ** q * mp.factorial(q) * (
-            (t + 1) ** (-q - 1) - (t + x) ** (-q - 1)
-        )
-
-    tail = s * mp.log((K + x) / (K + 1)) + f(K) / 2
-    err = abs(f(K))
-    for j in range(1, 15):
-        term = BERNOULLI[2 * j] / mp.factorial(2 * j) * f_deriv(2 * j - 1, K)
-        tail -= term
-        err = abs(term)
-        if err < mpf(prec.abs_tol) * mpf("1e-8") or err < mpf(10) ** (-mp.dps - 2):
-            break
+    threshold = max(mpf(prec.abs_tol) * mpf("1e-8"), mpf(10) ** (-mp.dps - 2))
+    tail, err = euler_maclaurin_tail(
+        [(s, head_terms + 1, 1), (-s, head_terms + x, 1)], threshold
+    )
     return EvalResult(
         value=base_part - (head + tail), error=float(err) + 1e-30, method="series-em"
     )

@@ -79,9 +79,15 @@ def _bernoulli_fractions(capacity: int) -> tuple:
 
 @dataclass(frozen=True)
 class BernoulliTable:
-    """Cached Bernoulli numbers B_0..B_capacity as exact rationals."""
+    """Bernoulli numbers B_0..B_capacity as exact rationals and as mpf."""
 
     values: tuple = field(default_factory=tuple)
+    # The same numbers as mpf at working precision, converted once.
+    floats: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        floats = tuple(mpf(v.numerator) / mpf(v.denominator) for v in self.values)
+        object.__setattr__(self, "floats", floats)
 
     @classmethod
     def build(cls, capacity: int = DEFAULT_BERNOULLI_CAPACITY) -> "BernoulliTable":
@@ -101,11 +107,15 @@ class BernoulliTable:
         return self.values[k]
 
     def __getitem__(self, k: int) -> mpf:
-        frac = self.exact(k)
-        return mpf(frac.numerator) / mpf(frac.denominator)
+        self.exact(k)  # raises on a bad index
+        return self.floats[k]
 
 
 BERNOULLI = BernoulliTable.build()
+
+# Euler-Maclaurin correction weights B_2j / (2j)!, j = 1..14: the most
+# corrections the engine applies before reporting what it has.
+_EM_WEIGHTS = tuple(BERNOULLI[2 * j] / mp.factorial(2 * j) for j in range(1, 15))
 
 
 def bernoulli(k: int) -> mpf:
@@ -127,34 +137,47 @@ CONSTANTS = Constants(
 )
 
 
-def _euler_maclaurin_tail(f, f_deriv, f_integral_tail, start, abs_tol, max_corrections=14):
-    """Sum_{k>=start} f(k) via Euler-Maclaurin.
+def euler_maclaurin_tail(terms, threshold):
+    """Sum_{k>=0} sum_i c_i (b_i + k)^(-p_i) by Euler-Maclaurin at k = 0.
 
-    ``f_deriv(q, t)`` must return the q-th derivative of f at t and
-    ``f_integral_tail(t)`` the integral of f over [t, inf).  Returns
-    (tail_value, error_estimate) where the estimate is the magnitude of the
-    first omitted correction term.
+    ``terms`` lists triples (c_i, b_i, p_i) with b_i > 0 and integer
+    p_i >= 1; the c_i of the p_i = 1 terms must sum to zero, so that their
+    log integrals converge together.  The closed-form integral and the half
+    term are followed by at most 14 corrections B_2j/(2j)! f^(2j-1)(0),
+    which stop once two consecutive ones fall below ``threshold``: the terms
+    can cancel exactly in one correction at isolated arguments.  Returns
+    (value, error), the error being the larger of the last two corrections.
     """
-    t = mpf(start)
-    total = f_integral_tail(t) + f(t) / 2
-    err = abs(f(t))
-    for j in range(1, max_corrections + 1):
-        term = BERNOULLI[2 * j] / mp.factorial(2 * j) * f_deriv(2 * j - 1, t)
-        total -= term
-        err = abs(term)
-        if err < abs_tol * mpf("1e-6") or err < mpf(10) ** (-mp.dps - 2):
-            nxt = BERNOULLI[2 * j + 2] / mp.factorial(2 * j + 2) * f_deriv(2 * j + 1, t)
-            err = abs(nxt)
+    total = mpf(0)
+    derivs = []  # per term: [c (p)_q b^(-p-q), p + q, b^-2] at odd q = 1, 3, ...
+    for c, b, p in terms:
+        b = mpf(b)
+        power = b ** (-p)
+        total += -c * mp.log(b) if p == 1 else c * b ** (1 - p) / (p - 1)
+        total += c * power / 2
+        derivs.append([c * p * power / b, p + 1, 1 / (b * b)])
+    prev = err = mpf("inf")
+    for weight in _EM_WEIGHTS:
+        # f^(q)(0) = -c (p)_q b^(-p-q) for odd q, and the correction is
+        # subtracted, so it enters with a plus sign.
+        term = weight * sum(d[0] for d in derivs)
+        total += term
+        err = max(abs(term), prev)
+        if err < threshold:
             break
+        prev = abs(term)
+        for d in derivs:
+            d[0] *= d[1] * (d[1] + 1) * d[2]
+            d[1] += 2
     return total, err
 
 
 def hurwitz_zeta(s: int, a, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
     """zeta(s, a) = sum_{k>=0} (k+a)^(-s) for integer s >= 2, a > 0.
 
-    Direct summation until k + a clears the shift threshold, then an
-    Euler-Maclaurin tail whose leading term is the integral comparison
-    (K+a)^(1-s)/(s-1).  The reported error is the first omitted correction.
+    Direct summation until k + a clears the shift threshold, then the
+    Euler-Maclaurin tail of :func:`euler_maclaurin_tail`.  The reported
+    error is the larger of its last two corrections.
     """
     if s < 2 or int(s) != s:
         raise DomainError("hurwitz_zeta requires an integer s >= 2")
@@ -170,16 +193,8 @@ def hurwitz_zeta(s: int, a, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
     for k in range(n_direct):
         head += (a + k) ** (-s)
 
-    def f(t):
-        return (a + t) ** (-s)
-
-    def f_deriv(q, t):
-        return (-1) ** q * mp.rf(s, q) * (a + t) ** (-s - q)
-
-    def f_tail(t):
-        return (a + t) ** (1 - s) / (s - 1)
-
-    tail, err = _euler_maclaurin_tail(f, f_deriv, f_tail, n_direct, mpf(prec.abs_tol))
+    threshold = max(mpf(prec.abs_tol) * mpf("1e-6"), mpf(10) ** (-mp.dps - 2))
+    tail, err = euler_maclaurin_tail([(1, a + n_direct, s)], threshold)
     if err > prec.abs_tol:
         raise ConvergenceError(
             "hurwitz_zeta tail did not reach abs_tol",
@@ -189,38 +204,37 @@ def hurwitz_zeta(s: int, a, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
     return EvalResult(value=head + tail, error=float(err), method="euler-maclaurin")
 
 
+def _smallest_term_sum(total, term):
+    """Add term(1), term(2), ... of a Bernoulli asymptotic series to ``total``.
+
+    Stops before the first term that grows in magnitude (the series diverges
+    from there) and returns (total, error), the error being that first
+    omitted term, or the last added one if the Bernoulli table runs out.
+    """
+    prev = mpf("inf")
+    for k in range(1, BERNOULLI.capacity // 2 + 1):
+        t = term(k)
+        if abs(t) > prev:
+            return total, abs(t)
+        total += t
+        prev = abs(t)
+    return total, prev
+
+
 def _polygamma_asymptotic(n: int, y, prec: Precision):
     """Large-argument expansion of psi^(n)(y); error = first omitted term."""
     if n == 0:
-        total = mp.log(y) - 1 / (2 * y)
-        prev = abs(total)
-        err = mpf("inf")
-        for k in range(1, BERNOULLI.capacity // 2 + 1):
-            term = BERNOULLI[2 * k] / (2 * k * y ** (2 * k))
-            if abs(term) > prev:
-                err = abs(term)
-                break
-            total -= term
-            prev = abs(term)
-            err = prev
-        return total, err
-    sign = (-1) ** (n - 1)
-    total = mp.factorial(n - 1) / y ** n + mp.factorial(n) / (2 * y ** (n + 1))
-    prev = mpf("inf")
-    err = mpf("inf")
-    for k in range(1, BERNOULLI.capacity // 2 + 1):
-        term = (
-            BERNOULLI[2 * k]
-            * mp.factorial(2 * k + n - 1)
-            / (mp.factorial(2 * k) * y ** (2 * k + n))
+        return _smallest_term_sum(
+            mp.log(y) - 1 / (2 * y),
+            lambda k: -BERNOULLI[2 * k] / (2 * k * y ** (2 * k)),
         )
-        if abs(term) > prev:
-            err = abs(term)
-            break
-        total += term
-        prev = abs(term)
-        err = prev
-    return sign * total, err
+    total, err = _smallest_term_sum(
+        mp.factorial(n - 1) / y ** n + mp.factorial(n) / (2 * y ** (n + 1)),
+        lambda k: BERNOULLI[2 * k]
+        * mp.factorial(2 * k + n - 1)
+        / (mp.factorial(2 * k) * y ** (2 * k + n)),
+    )
+    return (-1) ** (n - 1) * total, err
 
 
 def polygamma(n: int, x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
@@ -263,14 +277,10 @@ def log_gamma(x) -> mpf:
     head = mpf(0)
     for i in range(shift):
         head -= mp.log(x + i)
-    total = (y - mpf(1) / 2) * mp.log(y) - y + CONSTANTS.log_two_pi / 2
-    prev = mpf("inf")
-    for k in range(1, BERNOULLI.capacity // 2 + 1):
-        term = BERNOULLI[2 * k] / (2 * k * (2 * k - 1) * y ** (2 * k - 1))
-        if abs(term) > prev:
-            break
-        total += term
-        prev = abs(term)
+    total, _ = _smallest_term_sum(
+        (y - mpf(1) / 2) * mp.log(y) - y + CONSTANTS.log_two_pi / 2,
+        lambda k: BERNOULLI[2 * k] / (2 * k * (2 * k - 1) * y ** (2 * k - 1)),
+    )
     return head + total
 
 

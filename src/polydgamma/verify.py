@@ -25,12 +25,15 @@ from .polydg import (
     AsymptoticParams,
     PolyDoubleArg,
     Psi2Kernel,
+    asymptotic_closed_form,
     asymptotic_remainder,
     psi2_asymptotic,
     psi2_cached,
     psi2_didouble,
+    psi2_from_polygamma,
     psi2_integral,
     psi2_series,
+    psi2_zeta_form,
 )
 from .quadrature import IntegrandSpec, integrate_finite, integrate_semi_infinite
 from .specfun import (
@@ -642,16 +645,6 @@ def _printed_tau(n, x, n_blocks, tol=1e-10):
     return mpf(-1) ** (n + 1) * quad.value, quad.error_estimate
 
 
-def _expansion_with(n, x, n_blocks, sigma_value, tau_value):
-    pg_hi = polygamma_cached(n, x + 1)
-    pg_lo = polygamma_cached(n - 1, x + 1)
-    value = -x * pg_hi.value - (n + 1) * pg_lo.value
-    value += mpf(-1) ** n * mp.factorial(n - 2) / x ** (n - 1)
-    value += mpf(-1) ** (n - 1) * mp.factorial(n - 1) / (2 * x ** n)
-    value += mpf(-1) ** n * mp.factorial(n) / (12 * x ** (n + 1))
-    return value + sigma_value + tau_value
-
-
 def _lagrange_brute_force(n=3, x=1.0, terms=10000, block=1000):
     """Float64 double-sum oracle over pairs k < j versus the moment form."""
     k = np.arange(terms, dtype=np.float64)
@@ -681,63 +674,38 @@ def audit_identities(prec: Precision = DEFAULT_PRECISION) -> list:
     entries = []
     probes = [(2, mpf(1)), (3, mpf(2)), (4, mpf("0.5"))]
 
-    # Integral representation.
-    dev, err = 0.0, 0.0
-    for n, x in probes:
-        a = psi2_series(PolyDoubleArg(n, x), prec)
-        bq = psi2_integral(PolyDoubleArg(n, x), tol=1e-10)
-        dev = max(dev, abs(float(a.value - bq.value)))
-        err = max(err, a.error + bq.error)
-    entries.append(
-        _entry(
+    # Integral representation, polygamma combination, Hurwitz-zeta closed form.
+    routes = [
+        (
             "integral-representation",
             "Laplace transform of t^n/(1-e^-t)^2",
-            dev,
-            err,
+            lambda arg: psi2_integral(arg, tol=1e-10),
             "quadrature of the kernel matches the series at all probes",
             "integral representation disagrees with the series",
-        )
-    )
-
-    # Polygamma combination.
-    dev, err = 0.0, 0.0
-    for n, x in probes:
-        a = psi2_series(PolyDoubleArg(n, x), prec)
-        pg_lo = polygamma_cached(n - 1, x)
-        pg_hi = polygamma_cached(n, x)
-        val = -n * pg_lo.value + (1 - x) * pg_hi.value
-        dev = max(dev, abs(float(a.value - val)))
-        err = max(err, a.error + n * pg_lo.error + abs(float(1 - x)) * pg_hi.error)
-    entries.append(
-        _entry(
+        ),
+        (
             "polygamma-relation",
             "-n psi^(n-1) + (1-x) psi^(n)",
-            dev,
-            err,
+            lambda arg: psi2_from_polygamma(arg, prec),
             "polygamma combination matches the series",
             "polygamma combination disagrees with the series",
-        )
-    )
-
-    # Hurwitz-zeta closed form.
-    dev, err = 0.0, 0.0
-    for n, x in probes:
-        a = psi2_series(PolyDoubleArg(n, x), prec)
-        za = hurwitz_zeta(n, x, prec)
-        zb = hurwitz_zeta(n + 1, x, prec)
-        val = mpf(-1) ** (n + 1) * mp.factorial(n) * (za.value + (1 - x) * zb.value)
-        dev = max(dev, abs(float(a.value - val)))
-        err = max(err, a.error + float(mp.factorial(n)) * (za.error + zb.error))
-    entries.append(
-        _entry(
+        ),
+        (
             "zeta-closed-form",
             "(-1)^(n+1) n! (zeta(n,x) + (1-x) zeta(n+1,x))",
-            dev,
-            err,
+            lambda arg: psi2_zeta_form(arg, prec),
             "Hurwitz-zeta closed form matches the series",
             "Hurwitz-zeta closed form disagrees with the series",
-        )
-    )
+        ),
+    ]
+    for identity_id, anchor, route, note_ok, note_bad in routes:
+        dev, err = 0.0, 0.0
+        for n, x in probes:
+            a = psi2_series(PolyDoubleArg(n, x), prec)
+            b = route(PolyDoubleArg(n, x))
+            dev = max(dev, abs(float(a.value - b.value)))
+            err = max(err, a.error + b.error)
+        entries.append(_entry(identity_id, anchor, dev, err, note_ok, note_bad))
 
     # Downward recurrence.
     dev, err = 0.0, 0.0
@@ -796,7 +764,8 @@ def audit_identities(prec: Precision = DEFAULT_PRECISION) -> list:
     n, x, N = 3, mpf(2), 4
     ref = psi2_series(PolyDoubleArg(n, x + 1), prec)
     tau = asymptotic_remainder(PolyDoubleArg(n, x), AsymptoticParams(terms=N))
-    with_printed = _expansion_with(n, x, N, _printed_sigma(n, x, N), tau.value)
+    closed = asymptotic_closed_form(PolyDoubleArg(n, x)).value
+    with_printed = closed + _printed_sigma(n, x, N) + tau.value
     dev = abs(float(ref.value - with_printed))
     entries.append(
         _entry(
@@ -815,7 +784,7 @@ def audit_identities(prec: Precision = DEFAULT_PRECISION) -> list:
 
     sigma_derived, _ = asymptotic_bernoulli_sum(PolyDoubleArg(n, x), N)
     tau_printed, tau_err = _printed_tau(n, x, N)
-    with_printed = _expansion_with(n, x, N, sigma_derived, tau_printed)
+    with_printed = closed + sigma_derived + tau_printed
     dev = abs(float(ref.value - with_printed))
     entries.append(
         _entry(

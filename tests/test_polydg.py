@@ -99,10 +99,25 @@ class TestRoutesAgainstOracles:
         assert abs(r.value - mpf(ref)) < 1e-8 * max(1.0, abs(float(mpf(ref))))
 
     def test_auto_route_matches_series_far_out(self):
-        for n, x in [(2, 50), (3, 200), (6, 25)]:
+        for n, x in [(2, 50), (3, 200), (6, 25), (7, 12.5)]:
             a = psi2_eval(PolyDoubleArg(n, mpf(x)), method="auto")
             b = psi2_series(PolyDoubleArg(n, mpf(x)))
+            assert a.method == "series"
             assert abs(a.value - b.value) < 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=40),
+        log10_x=st.floats(min_value=-3.0, max_value=4.0),
+    )
+    def test_series_error_covers_zeta_closed_form(self, n, log10_x):
+        x = mpf(10) ** log10_x
+        r = psi2_series(PolyDoubleArg(n, x))
+        with mp.workdps(60):
+            ref = (-1) ** (n + 1) * mp.factorial(n) * (
+                mp.zeta(n, x) + (1 - x) * mp.zeta(n + 1, x)
+            )
+            assert abs(r.value - ref) <= r.error
 
 
 class TestStructure:

@@ -19,6 +19,7 @@ from polydgamma import (
     polygamma,
     polygamma_cached,
 )
+from polydgamma.specfun import euler_maclaurin_tail
 
 # Independent 50-digit oracles (frozen).
 ORACLE = {
@@ -59,6 +60,11 @@ class TestBernoulli:
         with pytest.raises(DomainError):
             BERNOULLI.exact(-1)
 
+    def test_floats_match_exact_fractions(self):
+        for k in range(BERNOULLI.capacity + 1):
+            frac = BERNOULLI.exact(k)
+            assert BERNOULLI[k] == mpf(frac.numerator) / mpf(frac.denominator)
+
 
 class TestHurwitzZeta:
     def test_oracles(self):
@@ -70,7 +76,7 @@ class TestHurwitzZeta:
             assert abs(r.value - mpf(ref)) <= max(2 * r.error, 1e-26)
 
     def test_riemann_special_case(self):
-        # zeta(2, 1) = pi^2/6; s = 2 converges slowest, honest error ~1e-20.
+        # zeta(2, 1) = pi^2/6; s = 2 converges slowest, claimed error ~1e-18.
         r = hurwitz_zeta(2, 1)
         assert abs(r.value - mp.pi ** 2 / 6) < 1e-19
         assert abs(r.value - mp.pi ** 2 / 6) <= 2 * r.error
@@ -93,6 +99,28 @@ class TestHurwitzZeta:
         lhs = hurwitz_zeta(s, a).value - hurwitz_zeta(s, a + 1).value
         rhs = a ** (-s)
         assert abs(lhs - rhs) < 1e-18 * max(1.0, abs(float(rhs)))
+
+
+class TestEulerMaclaurin:
+    def test_against_mpmath_zeta(self):
+        # hurwitz_zeta is a short direct head plus the engine's tail.
+        for s in range(2, 42):
+            for a in ("1e-3", "0.07", "1", "3.5", "12", "130", "1e4"):
+                a = mpf(a)
+                r = hurwitz_zeta(s, a)
+                with mp.workdps(60):
+                    ref = mp.zeta(s, a)
+                    assert abs(r.value - ref) <= r.error + 1e-28 * ref
+
+    def test_cancelling_log_pair(self):
+        # s sum_k [1/(b1+k) - 1/(b2+k)] = s (digamma(b2) - digamma(b1))
+        for b1, b2 in (("17", "16.001"), ("17", "40"), ("25.5", "1e4")):
+            b1, b2 = mpf(b1), mpf(b2)
+            s = b2 - b1
+            value, err = euler_maclaurin_tail([(s, b1, 1), (-s, b2, 1)], mpf("1e-32"))
+            with mp.workdps(60):
+                ref = s * (mp.digamma(b2) - mp.digamma(b1))
+                assert abs(value - ref) <= err + 1e-28 * abs(ref)
 
 
 class TestPolygamma:

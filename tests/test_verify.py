@@ -79,6 +79,13 @@ class TestMonotonicityChecks:
         assert r.summary["ratio_inf"] - r.summary["lower_bound"] < 1e-3
         assert r.summary["upper_bound"] - r.summary["ratio_sup"] < 5e-2
 
+    def test_ratio_bounds_strict_out_to_large_x(self):
+        # The series' stop rule is relative to the sum, so its error stays
+        # far below the tiny margins at x ~ 1e4.
+        r = check_ratio_bounds(4, Grid(0.05, 1e4, 40, "log"))
+        assert r.witnesses
+        assert all(w["status"] != "inconclusive" for w in r.witnesses)
+
 
 class TestFCheck:
     def test_boundary_omegas_pass(self):
