@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from . import verify
 from .errors import CapacityError, ConvergenceError, DomainError
@@ -36,6 +37,25 @@ def _write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _finite_float(text) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite(name, v) -> float:
+    """v as a float; DomainError if it does not fit a finite double."""
+    f = float(v)
+    if not math.isfinite(f):
+        raise DomainError(f"{name} {mp.nstr(mpf(v), 6)} does not fit a finite double")
+    return f
 
 
 def _emit(text, out):
@@ -67,21 +87,16 @@ def run_eval(args) -> int:
         if args.n is None:
             raise DomainError("eval requires --n (or --psi2)")
         result = psi2_eval(PolyDoubleArg(args.n, mpf(args.x)), method=args.method)
+    value = _finite("value", result.value)
+    error = _finite("error", result.error)
     if args.format == "json":
         _emit(
-            json.dumps(
-                {
-                    "value": float(result.value),
-                    "error": result.error,
-                    "method": result.method,
-                }
-            ),
+            json.dumps({"value": value, "error": error, "method": result.method}),
             args.out,
         )
     else:
         _emit(
-            f"value={_fmt(result.value)} error={result.error:.3e} "
-            f"method={result.method}",
+            f"value={_fmt(value)} error={error:.3e} method={result.method}",
             args.out,
         )
     return 0
@@ -306,20 +321,18 @@ def run_figure(args) -> int:
 
 def run_limit(args) -> int:
     """x^(n-1) psi2^(n)(x) at x = x_max against its limit (-1)^(n-1) (n-2)!."""
-    import math
-
     n = args.n if args.n is not None else 2
     if n < 2:
         raise DomainError("limit requires n >= 2")
     x = mpf(args.x_max)
     value = x ** (n - 1) * psi2_cached(n, x).value
-    limit = (-1) ** (n - 1) * math.factorial(n - 2)
+    limit = mpf(-1) ** (n - 1) * mp.factorial(n - 2)
     payload = {
         "n": n,
         "x_max": float(x),
-        "scaled_value": float(value),
-        "limit": float(limit),
-        "deviation": abs(float(value) - limit),
+        "scaled_value": _finite("scaled value", value),
+        "limit": _finite("limit", limit),
+        "deviation": _finite("deviation", abs(value - limit)),
     }
     if args.format == "json":
         _emit(json.dumps(payload), args.out)
@@ -345,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, formats=("human", "json")):
-        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--tol", type=_finite_float, default=1e-10)
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=0)
@@ -354,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--n", type=int, default=None)
     p_eval.add_argument("--psi2", action="store_true",
                         help="evaluate the di-double gamma psi2(x)")
-    p_eval.add_argument("--x", type=float, required=True)
+    p_eval.add_argument("--x", type=_finite_float, required=True)
     p_eval.add_argument(
         "--method",
         choices=("auto", "series", "polygamma", "integral", "asymptotic"),
@@ -370,19 +383,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--id", default=None)
     p_check.add_argument("--n", type=int, default=None)
     p_check.add_argument("--depth", type=int, default=None)
-    p_check.add_argument("--omega", type=float, default=None)
-    p_check.add_argument("--r", type=float, default=None,
+    p_check.add_argument("--omega", type=_finite_float, default=None)
+    p_check.add_argument("--r", type=_finite_float, default=None,
                          help="exponent r for G-convexity")
     p_check.add_argument("--r-order", type=int, default=None,
                          help="order offset r for subadditivity")
-    p_check.add_argument("--m", type=float, default=None,
+    p_check.add_argument("--m", type=_finite_float, default=None,
                          help="domain bound m for subadditivity")
     p_check.add_argument("--j", type=int, default=None, help="Hankel stride")
     p_check.add_argument("--m-order", type=int, default=None,
                          help="Hankel matrix order parameter m")
     p_check.add_argument("--samples", type=int, default=200)
-    p_check.add_argument("--grid-lo", type=float, default=None)
-    p_check.add_argument("--grid-hi", type=float, default=None)
+    p_check.add_argument("--grid-lo", type=_finite_float, default=None)
+    p_check.add_argument("--grid-hi", type=_finite_float, default=None)
     p_check.add_argument("--grid-count", type=int, default=None)
     p_check.add_argument("--grid-spacing", choices=("linear", "log"), default=None)
     common(p_check)
@@ -399,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_lim = sub.add_parser("limit", help="scaled large-x limit diagnostic")
     p_lim.add_argument("--n", type=int, default=None)
-    p_lim.add_argument("--x-max", type=float, default=1e4)
+    p_lim.add_argument("--x-max", type=_finite_float, default=1e4)
     common(p_lim)
     p_lim.set_defaults(func=run_limit)
 

@@ -10,8 +10,8 @@ series, polygamma combination, Laplace-transform quadrature, and a Bernoulli
 asymptotic expansion with an exact integral remainder - which cross-check
 one another.  The series is canonical: ``auto`` and the cache use it, and
 the other routes are explicit choices that the identity audit also checks.
-The series tails of psi2^(n) and psi2, like the Hurwitz zeta behind log G,
-are summed by the one Euler-Maclaurin engine in :mod:`specfun`.
+The series tails of psi2^(n) and psi2 are summed by the one Euler-Maclaurin
+engine in :mod:`specfun`; log G comes from Barnes' asymptotic expansion.
 Differentiation in x is closed: d/dx psi2^(n) = psi2^(n+1), so
 derivative-sign questions downstream reduce to direct evaluations.
 """
@@ -31,8 +31,10 @@ from .specfun import (
     DEFAULT_PRECISION,
     EvalResult,
     Precision,
+    _smallest_term_sum,
     euler_maclaurin_tail,
     hurwitz_zeta,
+    log_gamma,
     polygamma,
 )
 
@@ -314,13 +316,17 @@ def psi2_eval(
 
 
 @lru_cache(maxsize=200000)
-def _cached_value(n: int, x: mpf) -> EvalResult:
+def _cached_value(n: int, x: mpf, working_prec: int) -> EvalResult:
     return psi2_eval(PolyDoubleArg(n, x))
 
 
 def psi2_cached(n: int, x) -> EvalResult:
-    """Memoized canonical-series evaluation at default precision."""
-    return _cached_value(n, mpf(x))
+    """Memoized canonical-series evaluation at default precision.
+
+    Keyed on mp.prec too, so raising the working precision never serves a
+    value computed at a lower one.
+    """
+    return _cached_value(n, mpf(x), mp.prec)
 
 
 def psi2_value(n: int, x) -> mpf:
@@ -359,37 +365,52 @@ def psi2_didouble(x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
 
 
 def log_barnes_g(x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
-    """log G(x) via the Weierstrass product at z = x - 1:
+    """log G(x) for x > 0, G being Barnes' G: G(1) = 1, G(x+1) = Gamma(x) G(x).
 
-        log G(x) = (z/2) log(2 pi) - ((1+gamma) z^2 + z)/2
-                   + sum_{k>=1} [ k log(1 + z/k) - z + z^2/(2k) ].
+    This is +log G, while the psi2 family is made of derivatives of -log G:
+    psi2^(n)(x) = -(log G)^(n+1)(x) and psi2(x) = 1 + gamma - (log G)'(x).
 
-    Each product term expands as sum_{j>=3} (-1)^(j+1) z^j/(j k^(j-1)), so
-    the tail beyond K sums to sum_j (-1)^(j+1) z^j/j * zeta(j-1, K+1);
-    truncation is corrected by that closed form rather than accepting the
-    raw k^-2 decay.
+    For y = x + m >= prec.shift_threshold + 1, Barnes' expansion at z = y - 1,
+
+        log G(z+1) = z^2/2 log z - 3z^2/4 + (z/2) log(2 pi) - (1/12) log z
+                     + zeta'(-1) + sum_{k>=1} B_{2k+2} / (4k(k+1) z^(2k)),
+
+    is truncated at its smallest term, or before the first term below
+    10^-(dps+2) times the leading terms.  A smaller x is shifted up by
+    m = ceil(shift_threshold + 1 - x) through the closed form
+
+        log G(x) = log G(x+m) - m log Gamma(x+m) + sum_{j<m} (j+1) log(x+j),
+
+    one log-gamma and m logs (m <= 13 at the default threshold), so the cost
+    does not grow with x.  The error is the first omitted term of the
+    expansion plus the rounding of the sum: 10^-dps times the number of
+    summands times the sum of their magnitudes.
     """
     x = mpf(x)
     if x <= 0:
         raise DomainError("log_barnes_g requires x > 0")
-    z = x - 1
-    total = z / 2 * CONSTANTS.log_two_pi - ((1 + CONSTANTS.euler_gamma) * z * z + z) / 2
-    if z == 0:
-        return EvalResult(value=total, error=1e-30, method="weierstrass")
-
-    K = max(64, int(mp.ceil(2 * abs(z))) + 16)
-    for k in range(1, K + 1):
-        total += k * mp.log1p(z / k) - z + z * z / (2 * k)
-
-    err = mpf(0)
-    zj = z ** 2
-    for j in range(3, 200):
-        zj *= z
-        term = (-1) ** (j + 1) * zj / j * hurwitz_zeta(j - 1, K + 1, prec).value
-        total += term
-        err = abs(term)
-        if err < mpf(prec.abs_tol) * mpf("1e-6") or err < mpf(10) ** (-mp.dps - 2):
-            break
-    else:
-        raise ConvergenceError("tail correction did not converge in log_barnes_g")
-    return EvalResult(value=total, error=float(err) + 1e-30, method="weierstrass")
+    m = max(0, int(mp.ceil(prec.shift_threshold + 1 - x)))
+    z = x + m - 1
+    log_z = mp.log(z)
+    parts = [
+        z * z * log_z / 2,
+        -3 * z * z / 4,
+        z * CONSTANTS.log_two_pi / 2,
+        -log_z / 12,
+        CONSTANTS.zeta_prime_minus_one,
+    ]
+    if m:
+        parts.append(-m * log_gamma(x + m))
+        parts.extend((j + 1) * mp.log(x + j) for j in range(m))
+    magnitude = sum(abs(p) for p in parts)
+    eps = mpf(10) ** (-mp.dps)
+    # The k-th term needs B_{2k+2}, so the table stops the series one short
+    # of the other Bernoulli series.
+    total, omitted = _smallest_term_sum(
+        sum(parts),
+        lambda k: BERNOULLI[2 * k + 2] / (4 * k * (k + 1) * z ** (2 * k)),
+        last=BERNOULLI.capacity // 2 - 1,
+        small=eps / 100 * magnitude,
+    )
+    err = omitted + len(parts) * magnitude * eps
+    return EvalResult(value=total, error=float(err), method="barnes-asymptotic")

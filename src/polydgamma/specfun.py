@@ -128,12 +128,16 @@ class Constants:
     euler_gamma: mpf
     log_two_pi: mpf
     pi: mpf
+    # zeta'(-1) = 1/12 - log A, A being Glaisher's constant: the constant
+    # term of Barnes' expansion of log G.
+    zeta_prime_minus_one: mpf
 
 
 CONSTANTS = Constants(
     euler_gamma=+mp.euler,
     log_two_pi=mp.log(2 * mp.pi),
     pi=+mp.pi,
+    zeta_prime_minus_one=mpf(1) / 12 - mp.log(mp.glaisher),
 )
 
 
@@ -204,17 +208,19 @@ def hurwitz_zeta(s: int, a, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
     return EvalResult(value=head + tail, error=float(err), method="euler-maclaurin")
 
 
-def _smallest_term_sum(total, term):
-    """Add term(1), term(2), ... of a Bernoulli asymptotic series to ``total``.
+def _smallest_term_sum(total, term, last=BERNOULLI.capacity // 2, small=0):
+    """Add term(1), ..., term(last) of a Bernoulli asymptotic series to ``total``.
 
     Stops before the first term that grows in magnitude (the series diverges
-    from there) and returns (total, error), the error being that first
-    omitted term, or the last added one if the Bernoulli table runs out.
+    from there) or falls below ``small`` (it no longer counts), and returns
+    (total, error), the error being that first omitted term, or the last
+    added one if the Bernoulli table runs out.  ``last`` is the highest k
+    whose term the table can supply.
     """
     prev = mpf("inf")
-    for k in range(1, BERNOULLI.capacity // 2 + 1):
+    for k in range(1, last + 1):
         t = term(k)
-        if abs(t) > prev:
+        if abs(t) > prev or abs(t) < small:
             return total, abs(t)
         total += t
         prev = abs(t)
@@ -285,10 +291,14 @@ def log_gamma(x) -> mpf:
 
 
 @lru_cache(maxsize=None)
-def _cached_polygamma(n: int, x: mpf) -> EvalResult:
+def _cached_polygamma(n: int, x: mpf, working_prec: int) -> EvalResult:
     return polygamma(n, x)
 
 
 def polygamma_cached(n: int, x) -> EvalResult:
-    """Memoized polygamma at default precision (read-only shared cache)."""
-    return _cached_polygamma(n, mpf(x))
+    """Memoized polygamma at default precision (read-only shared cache).
+
+    Keyed on mp.prec too, so raising the working precision never serves a
+    value computed at a lower one.
+    """
+    return _cached_polygamma(n, mpf(x), mp.prec)

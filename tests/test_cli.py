@@ -4,6 +4,8 @@ import csv
 import json
 from dataclasses import asdict
 
+import pytest
+
 from polydgamma import CheckReport
 from polydgamma.cli import main
 
@@ -39,6 +41,40 @@ class TestExitCodes:
     def test_limit(self, capsys):
         assert main(["limit", "--n", "2", "--x-max", "10000"]) == 0
         assert "limit -1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--n", "2", "--x", "inf"],
+            ["eval", "--psi2", "--x", "inf"],
+            ["eval", "--n", "2", "--x", "nan"],
+            ["limit", "--x-max", "inf"],
+            ["check", "--id", "F-cm", "--omega", "nan"],
+            ["check", "--id", "turan", "--grid-hi=-inf"],
+            ["check", "--id", "turan", "--tol", "nan"],
+        ],
+    )
+    def test_non_finite_argument(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: argument" in err and "finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--n", "2", "--x", "1e-300"],
+            ["eval", "--n", "2", "--x", "1e-300", "--format", "json"],
+            ["eval", "--n", "2", "--x", "1e-300", "--method", "polygamma",
+             "--format", "json"],
+            ["limit", "--x-max", "1e-300", "--format", "json"],
+            ["limit", "--n", "200"],
+        ],
+    )
+    def test_non_finite_output(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 class TestEvalOutputs:

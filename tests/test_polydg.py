@@ -4,6 +4,8 @@ Frozen reference values were generated independently at 50 decimal digits
 through the Hurwitz-zeta reduction (for psi2^(n)), direct series summation
 (for psi2), and an independent Barnes-G implementation (for log G)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
@@ -227,3 +229,39 @@ class TestLogBarnesG:
     def test_domain(self):
         with pytest.raises(DomainError):
             log_barnes_g(-1)
+
+    def test_error_covers_mpmath_barnesg(self):
+        # Log grid over [1e-3, 1e6], against 60-digit log(mp.barnesg(x)).
+        misses = []
+        for i in range(73):
+            x = mpf(10) ** (-3 + mpf(i) / 8)
+            r = log_barnes_g(x)
+            with mp.workdps(60):
+                deviation = abs(r.value - mp.log(mp.barnesg(x)))
+            if not deviation <= r.error:
+                misses.append((x, deviation, r.error))
+        assert misses == []
+
+    @pytest.mark.parametrize("x", [1e8, 1e12])
+    def test_error_covers_mpmath_barnesg_far_out(self, x):
+        r = log_barnes_g(x)
+        assert mp.isfinite(r.value) and math.isfinite(r.error)
+        with mp.workdps(60):
+            assert abs(r.value - mp.log(mp.barnesg(x))) <= r.error
+
+    @pytest.mark.parametrize("x", ["0.25", "2", "7.5", "12.5", "1000"])
+    def test_sign_convention(self, x):
+        # log_barnes_g is +log G, and psi2^(2) is minus its third derivative.
+        x = mpf(x)
+        d3 = mp.diff(lambda t: log_barnes_g(t).value, x, 3, h=mpf("1e-5"))
+        expected = -psi2_cached(2, x).value
+        assert abs(d3 - expected) < 1e-7 * abs(expected)
+
+
+class TestCache:
+    def test_keyed_on_precision(self):
+        # A value cached at 10 digits must not be served at 30.
+        x = mpf("0.4375")
+        with mp.workdps(10):
+            psi2_cached(3, x)
+        assert psi2_cached(3, x) == psi2_series(PolyDoubleArg(3, x))

@@ -160,6 +160,13 @@ class TestPolygamma:
         b = polygamma_cached(2, 1.5)
         assert a is b
 
+    def test_cache_keyed_on_precision(self):
+        # A value cached at 10 digits must not be served at 30.
+        x = mpf("0.375")
+        with mp.workdps(10):
+            polygamma_cached(3, x)
+        assert polygamma_cached(3, x) == polygamma(3, x)
+
 
 class TestLogGamma:
     def test_oracles(self):
