@@ -18,9 +18,12 @@ derivative-sign questions downstream reduce to direct evaluations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
+import numpy as np
 from mpmath import mp, mpf
 
 from .errors import ConvergenceError, DomainError
@@ -31,6 +34,7 @@ from .specfun import (
     DEFAULT_PRECISION,
     EvalResult,
     Precision,
+    _EM_WEIGHTS,
     _smallest_term_sum,
     euler_maclaurin_tail,
     hurwitz_zeta,
@@ -333,6 +337,82 @@ def psi2_value(n: int, x) -> mpf:
     return psi2_cached(n, x).value
 
 
+class GridResult(NamedTuple):
+    """psi2^(n) over an array: float64 values and absolute error bounds."""
+
+    value: np.ndarray
+    error: np.ndarray
+
+
+# Head terms summed directly before the Euler-Maclaurin tail of psi2_grid.
+GRID_HEAD_TERMS = 20
+_EM_FLOAT_WEIGHTS = tuple(float(w) for w in _EM_WEIGHTS)
+
+
+def psi2_grid(n: int, x) -> GridResult:
+    """psi2^(n)(x) over a float64 array x in one double-precision pass.
+
+    S = sum_k (1+k)/(x+k)^(n+1) is H = GRID_HEAD_TERMS head terms plus the
+    Euler-Maclaurin sum of f(t) = (b+t)^-n + (1-x)(b+t)^-(n+1), b = x + H.
+    Its integral b^-n (x + n(H+1) - 1)/(n(n-1)) and half term
+    (1+H)/(2 b^(n+1)) are each one positive product: split into the two
+    powers they cancel at large x (the half term by a factor b/(1+H)).  The
+    derivative corrections run until two consecutive ones fall below
+    1e-18 S, as in the mpf engine; at x = 21n + 1 the first one vanishes.
+    Head, integral and half term are positive, so no cancellation enters S,
+    and
+
+        error = n! (larger of the last two corrections
+                    + (H + 3(n+2) + 30) (2^-53 S + 2^-1074))
+
+    is an a-priori bound on |value - psi2^(n)(x)| for the float64 x given:
+    truncation, rounding (each power multiplies the rounding of its base by
+    its exponent) and underflow: about 7e-15 relative at n = 2 and 2e-14 at
+    n = 40, where the values themselves are good to about 1e-15.
+    Raises DomainError for n < 2, for any x <= 0, and when a value or bound
+    does not fit a finite double (n > 170, or n = 200 at x = 1e-3).
+    """
+    if n < 2:
+        raise DomainError("derivative order must be >= 2")
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(x > 0):
+        raise DomainError("argument must be positive")
+    try:
+        fact = float(math.factorial(n))
+    except OverflowError:
+        raise DomainError(f"{n}! does not fit a finite double") from None
+    H = GRID_HEAD_TERMS
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        s = sum((1 + k) * (1 / (x + k)) ** (n + 1) for k in range(H))
+        b = x + H
+        b_n = (1 / b) ** n
+        s = s + b_n * (x + n * (H + 1) - 1) / (n * (n - 1)) + (1 + H) * b_n / b / 2
+        # f^(q)(0) = -(n)_q b^(-n-q) - (1-x) (n+1)_q b^(-n-1-q) at odd q, and
+        # the correction -B_2j/(2j)! f^(2j-1)(0) enters with a plus sign.
+        inv_b2 = 1 / (b * b)
+        d1 = n * b_n / b
+        d2 = (1 - x) * (n + 1) * b_n * inv_b2
+        total = s
+        prev = trunc = np.full(x.shape, np.inf)
+        active = np.ones(x.shape, dtype=bool)
+        for q, weight in zip(range(1, 2 * len(_EM_FLOAT_WEIGHTS), 2), _EM_FLOAT_WEIGHTS):
+            term = weight * (d1 + d2)
+            total = np.where(active, total + term, total)
+            trunc = np.where(active, np.maximum(abs(term), prev), trunc)
+            prev = abs(term)
+            active &= trunc >= 1e-18 * s
+            if not active.any():
+                break
+            d1 = d1 * ((n + q) * (n + q + 1)) * inv_b2
+            d2 = d2 * ((n + q + 1) * (n + q + 2)) * inv_b2
+        value = (-1) ** (n + 1) * fact * total
+        rounding = (H + 3 * (n + 2) + 30) * (2.0**-53 * s + 2.0**-1074)
+        error = fact * (trunc + rounding)
+    if not (np.isfinite(value).all() and np.isfinite(error).all()):
+        raise DomainError(f"psi2^({n}) does not fit a finite double on this grid")
+    return GridResult(value, error)
+
+
 def psi2_didouble(x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
     """First logarithmic derivative psi2(x), by its own series:
 
@@ -406,7 +486,7 @@ def log_barnes_g(x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
     eps = mpf(10) ** (-mp.dps)
     # The k-th term needs B_{2k+2}, so the table stops the series one short
     # of the other Bernoulli series.
-    total, omitted = _smallest_term_sum(
+    total, omitted, _ = _smallest_term_sum(
         sum(parts),
         lambda k: BERNOULLI[2 * k + 2] / (4 * k * (k + 1) * z ** (2 * k)),
         last=BERNOULLI.capacity // 2 - 1,

@@ -213,34 +213,35 @@ def _smallest_term_sum(total, term, last=BERNOULLI.capacity // 2, small=0):
 
     Stops before the first term that grows in magnitude (the series diverges
     from there) or falls below ``small`` (it no longer counts), and returns
-    (total, error), the error being that first omitted term, or the last
-    added one if the Bernoulli table runs out.  ``last`` is the highest k
-    whose term the table can supply.
+    (total, error, count): the error is that first omitted term, or the last
+    added one if the Bernoulli table runs out, and count the terms added.
+    ``last`` is the highest k whose term the table can supply.
     """
     prev = mpf("inf")
     for k in range(1, last + 1):
         t = term(k)
         if abs(t) > prev or abs(t) < small:
-            return total, abs(t)
+            return total, abs(t), k - 1
         total += t
         prev = abs(t)
-    return total, prev
+    return total, prev, last
 
 
 def _polygamma_asymptotic(n: int, y, prec: Precision):
-    """Large-argument expansion of psi^(n)(y); error = first omitted term."""
+    """Large-argument expansion of psi^(n)(y); (value, first omitted term,
+    terms added)."""
     if n == 0:
         return _smallest_term_sum(
             mp.log(y) - 1 / (2 * y),
             lambda k: -BERNOULLI[2 * k] / (2 * k * y ** (2 * k)),
         )
-    total, err = _smallest_term_sum(
+    total, err, count = _smallest_term_sum(
         mp.factorial(n - 1) / y ** n + mp.factorial(n) / (2 * y ** (n + 1)),
         lambda k: BERNOULLI[2 * k]
         * mp.factorial(2 * k + n - 1)
         / (mp.factorial(2 * k) * y ** (2 * k + n)),
     )
-    return (-1) ** (n - 1) * total, err
+    return (-1) ** (n - 1) * total, err, count
 
 
 def polygamma(n: int, x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
@@ -248,6 +249,10 @@ def polygamma(n: int, x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
 
     Recurrence-shift the argument above ``prec.shift_threshold``, apply the
     Bernoulli asymptotic series truncated at its smallest term, shift back.
+    The error is the first omitted term plus the rounding of the sum,
+    (|shift head| + |expansion|) (shift + terms summed + 2) 10^-dps: the
+    head and the expansion can cancel (psi near its zero), so their
+    magnitudes count, not that of the value.
     """
     if n < 0:
         raise DomainError("polygamma order must be non-negative")
@@ -265,8 +270,11 @@ def polygamma(n: int, x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
         coeff = (-1) ** n * mp.factorial(n)
         for i in range(shift):
             head -= coeff * (x + i) ** (-(n + 1))
-    asym, err = _polygamma_asymptotic(n, y, prec)
-    return EvalResult(value=head + asym, error=float(err), method="shift-asymptotic")
+    asym, err, count = _polygamma_asymptotic(n, y, prec)
+    rounding = (abs(head) + abs(asym)) * (shift + count + 2) * mpf(10) ** (-mp.dps)
+    return EvalResult(
+        value=head + asym, error=float(err + rounding), method="shift-asymptotic"
+    )
 
 
 def log_gamma(x) -> mpf:
@@ -283,7 +291,7 @@ def log_gamma(x) -> mpf:
     head = mpf(0)
     for i in range(shift):
         head -= mp.log(x + i)
-    total, _ = _smallest_term_sum(
+    total, _, _ = _smallest_term_sum(
         (y - mpf(1) / 2) * mp.log(y) - y + CONSTANTS.log_two_pi / 2,
         lambda k: BERNOULLI[2 * k] / (2 * k * (2 * k - 1) * y ** (2 * k - 1)),
     )

@@ -119,19 +119,20 @@ class _ReportBuilder:
         """Margin convention: positive means the claimed inequality holds.
 
         ``strict=False`` marks claims where equality is admissible (so an
-        in-gate margin is expected, not a near-miss).
+        in-gate margin is expected, not a near-miss).  The verdict reads the
+        margin at working precision; the entry's floats may overflow.
         """
-        margin = float(lhs - rhs)
+        margin = lhs - rhs
         gate = STRICTNESS_FACTOR * max(float(err), 0.0)
         entry = {
             "point": point,
             "lhs": float(lhs),
             "rhs": float(rhs),
-            "margin": margin,
+            "margin": float(margin),
         }
         if label:
             entry["label"] = label
-        if not math.isfinite(margin) or margin < -gate:
+        if mp.isnan(margin) or margin < -gate:
             entry["status"] = "fail"
             self.report.counterexamples.append(entry)
             self.report.passed = False
@@ -152,7 +153,7 @@ def _v(n, x):
 
 
 def _prod_err(a, b):
-    return abs(float(a.value)) * b.error + abs(float(b.value)) * a.error
+    return abs(a.value) * b.error + abs(b.value) * a.error
 
 
 def check_cm(n: int, depth: int, grid: Grid) -> CheckReport:
@@ -232,16 +233,19 @@ class FParams:
             raise DomainError("derivative depth must be >= 0")
 
 
-def _f_derivative(n: int, omega, k: int, x):
-    """Exact k-th derivative of F via the Leibniz rule; returns (value, err)."""
-    total = mpf(0)
-    err = 0.0
+def _f_derivative(n: int, omega, k: int, lookup):
+    """Exact k-th derivative of F via the Leibniz rule; returns (value, err).
+
+    ``lookup(m)`` gives psi2^(m) with ``.value`` and ``.error``: one point's
+    EvalResult in the check, psi2_grid arrays over a whole grid in figures.
+    """
+    total = err = 0
     for j in range(k + 1):
         c = math.comb(k, j)
-        a1, a2 = _v(n + j, x), _v(n + k - j, x)
-        b1, b2 = _v(n - 1 + j, x), _v(n + 1 + k - j, x)
+        a1, a2 = lookup(n + j), lookup(n + k - j)
+        b1, b2 = lookup(n - 1 + j), lookup(n + 1 + k - j)
         total += c * (a1.value * a2.value - omega * b1.value * b2.value)
-        err += c * (_prod_err(a1, a2) + abs(float(omega)) * _prod_err(b1, b2))
+        err += c * (_prod_err(a1, a2) + abs(omega) * _prod_err(b1, b2))
     return total, err
 
 
@@ -272,7 +276,7 @@ def check_F_cm(params: FParams, grid: Grid) -> CheckReport:
     first_failure = {}
     for x in grid.points():
         for k in range(depth + 1):
-            val, err = _f_derivative(n, omega, k, x)
+            val, err = _f_derivative(n, omega, k, lambda m: _v(m, x))
             for sgn, name in patterns:
                 signed = mpf(-1) ** k * sgn * val
                 before = len(b.report.counterexamples)
@@ -645,8 +649,13 @@ def _printed_tau(n, x, n_blocks, tol=1e-10):
     return mpf(-1) ** (n + 1) * quad.value, quad.error_estimate
 
 
-def _lagrange_brute_force(n=3, x=1.0, terms=10000, block=1000):
-    """Float64 double-sum oracle over pairs k < j versus the moment form."""
+def _lagrange_brute_force(n=3, x=1.0, terms=10000):
+    """Float64 double-sum oracle over pairs k < j versus the moment form.
+
+    The pair sum is grouped by lag d = j - k, each lag a dot product, so it
+    runs in O(terms) memory; it stays a pair-by-pair sum, not the moment
+    expansion it is compared with.
+    """
     k = np.arange(terms, dtype=np.float64)
     u = (1.0 + k) * (x + k) ** (-(n + 2.0))  # weight (1+k)/(x+k)^(n+2)
     base = x + k
@@ -655,12 +664,7 @@ def _lagrange_brute_force(n=3, x=1.0, terms=10000, block=1000):
     s_n2 = float(np.sum((1.0 + k) * base ** (-float(n + 2))))
     moment_form = s_n * s_n2 - s_n1 * s_n1
 
-    brute = 0.0
-    for start in range(0, terms, block):
-        kk = k[start : start + block]
-        diff2 = (kk[:, None] - k[None, :]) ** 2
-        brute += float(np.sum(diff2 * u[start : start + block, None] * u[None, :]))
-    brute /= 2.0  # all ordered pairs counted twice; diagonal vanishes
+    brute = math.fsum(d * d * float(np.dot(u[:-d], u[d:])) for d in range(1, terms))
     fact2 = float(math.factorial(n)) ** 2
     return brute * fact2, moment_form * fact2
 

@@ -5,9 +5,11 @@ import json
 from dataclasses import asdict
 
 import pytest
+from mpmath import mpf
 
-from polydgamma import CheckReport
+from polydgamma import CheckReport, psi2_cached
 from polydgamma.cli import main
+from polydgamma.verify import _f_derivative
 
 
 class TestExitCodes:
@@ -68,6 +70,8 @@ class TestExitCodes:
              "--format", "json"],
             ["limit", "--x-max", "1e-300", "--format", "json"],
             ["limit", "--n", "200"],
+            ["check", "--id", "cm", "--grid-lo", "1e-300", "--grid-count", "3",
+             "--format", "json"],
         ],
     )
     def test_non_finite_output(self, argv, capsys):
@@ -128,6 +132,35 @@ class TestFigures:
         with open(path, encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         return rows[0], rows[1:]
+
+    @staticmethod
+    def _thirty_digit_row(fid, x):
+        if fid == 1:
+            return [psi2_cached(3 + k, x).value for k in range(6)]
+        if fid == 2:
+            return [
+                psi2_cached(2, x + 1).value ** 2,
+                psi2_cached(2, x).value * psi2_cached(2, x + 2).value,
+            ]
+        if fid == 3:
+            return [x * psi2_cached(2, x).value]
+        omega, sign = (mpf(1) / 4, 1) if fid == 5 else (mpf(3) / 4, -1)
+        return [
+            sign * _f_derivative(3, omega, k, lambda m: psi2_cached(m, x))[0]
+            for k in range(5)
+        ]
+
+    @pytest.mark.parametrize("fid", [1, 2, 3, 5, 6])
+    def test_float64_figures_match_thirty_digits(self, fid, tmp_path, capsys):
+        out = tmp_path / f"fig{fid}.csv"
+        assert main(["figure", "--id", str(fid), "--out", str(out)]) == 0
+        _, data = self._read(out)
+        data = [[float(v) for v in row] for row in data]
+        scales = [max(abs(row[c]) for row in data) for c in range(len(data[0]))]
+        for row in data[::10]:
+            expected = self._thirty_digit_row(fid, mpf(row[0]))
+            for a, b, scale in zip(row[1:], expected, scales[1:]):
+                assert abs(a - b) <= 1e-9 * abs(b) + 1e-12 * scale
 
     def test_figure2_ordering(self, tmp_path, capsys):
         out = tmp_path / "fig2.csv"

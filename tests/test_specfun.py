@@ -155,6 +155,18 @@ class TestPolygamma:
         scale = max(1.0, abs(float(rhs)))
         assert abs(lhs - rhs) < 1e-18 * scale
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=40),
+        log10_x=st.floats(min_value=-3.0, max_value=4.0),
+    )
+    def test_error_covers_mpmath_psi(self, n, log10_x):
+        # The claimed error includes rounding, not only truncation.
+        x = mpf(10.0 ** log10_x)
+        r = polygamma(n, x)
+        with mp.workdps(60):
+            assert abs(r.value - mp.psi(n, x)) <= r.error
+
     def test_cache_stability(self):
         a = polygamma_cached(2, 1.5)
         b = polygamma_cached(2, 1.5)

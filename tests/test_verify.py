@@ -1,6 +1,7 @@
 """Theorem-check machinery and the identity audit."""
 
 import json
+import math
 from dataclasses import asdict
 
 import pytest
@@ -26,7 +27,12 @@ from polydgamma import (
     check_turan,
     lemma_I1_value,
 )
-from polydgamma.verify import _det_with_condition, _hankel_matrix
+from polydgamma.verify import (
+    _det_with_condition,
+    _hankel_matrix,
+    _lagrange_brute_force,
+    _ReportBuilder,
+)
 
 SMALL = Grid(0.1, 10.0, 20, "log")
 
@@ -204,6 +210,22 @@ class TestCauchySchwarz:
         assert labels == {"direct", "reversed"}
 
 
+class TestReportBuilder:
+    def test_verdict_reads_the_mpf_margin(self):
+        # The margin overflows a double but has the claimed sign.
+        b = _ReportBuilder("cm", {})
+        b.record([1e-300, 0], mpf("1e400"), 0.0, 1.0)
+        b.record([1e-300, 1], 0.0, mpf("-1e400"), 1.0)
+        report = b.done()
+        assert report.passed and not report.counterexamples
+        assert [w["status"] for w in report.witnesses] == ["strict", "strict"]
+
+    def test_overflowing_wrong_sign_fails(self):
+        b = _ReportBuilder("cm", {})
+        b.record([1e-300, 0], mpf("-1e400"), 0.0, 1.0)
+        assert not b.done().passed
+
+
 class TestReportSerialization:
     def test_json_round_trip(self):
         r = check_turan(2, Grid(0.5, 3.0, 8, "linear"))
@@ -230,6 +252,17 @@ EXPECTED_DISCREPANT = {
     "didouble-integral-normalization",
     "hankel-remark-reading",
 }
+
+
+class TestLagrangeOracle:
+    def test_matches_plain_double_loop(self):
+        n, x, terms = 3, 1.0, 300
+        u = [(1.0 + k) * (x + k) ** (-(n + 2.0)) for k in range(terms)]
+        plain = math.fsum(
+            (k - j) ** 2 * u[k] * u[j] for j in range(terms) for k in range(j)
+        ) * float(math.factorial(n)) ** 2
+        brute, _ = _lagrange_brute_force(n, x, terms)
+        assert abs(brute - plain) <= 1e-12 * abs(plain)
 
 
 class TestAudit:
