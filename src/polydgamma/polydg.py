@@ -29,20 +29,25 @@ from mpmath import mp, mpf
 from .errors import ConvergenceError, DomainError
 from .quadrature import IntegrandSpec, integrate_semi_infinite
 from .specfun import (
+    ABS_TOL,
     BERNOULLI,
     CONSTANTS,
-    DEFAULT_PRECISION,
+    MAX_TERMS,
+    SHIFT_THRESHOLD,
     EvalResult,
-    Precision,
     _EM_WEIGHTS,
     _smallest_term_sum,
     euler_maclaurin_tail,
     hurwitz_zeta,
     log_gamma,
     polygamma,
+    rounding_unit,
 )
 
 METHODS = ("series", "polygamma", "integral", "asymptotic", "auto")
+
+# Absolute tolerance of the quadrature of the expansion's exact remainder.
+REMAINDER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,6 @@ class AsymptoticParams:
 
     terms: int = 6
     include_remainder: bool = True
-    remainder_tol: float = 1e-10
 
     def __post_init__(self):
         if not 1 <= self.terms <= BERNOULLI.capacity // 2:
@@ -99,7 +103,7 @@ class Psi2Kernel:
         return evaluate
 
 
-def psi2_series(arg: PolyDoubleArg, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
+def psi2_series(arg: PolyDoubleArg) -> EvalResult:
     """Canonical series evaluation; every other route is audited against it.
 
     The term (1+t)/(x+t)^(n+1) splits as (x+t)^-n + (1-x)(x+t)^-(n+1), so
@@ -111,9 +115,9 @@ def psi2_series(arg: PolyDoubleArg, prec: Precision = DEFAULT_PRECISION) -> Eval
     sign = mpf(-1) ** (n + 1)
     fact = mp.factorial(n)
 
-    head_terms = max(8, int(mp.ceil(prec.shift_threshold + 10 - x)))
-    if head_terms > prec.max_terms:
-        raise ConvergenceError("series head exceeds max_terms in psi2_series")
+    head_terms = max(8, int(mp.ceil(SHIFT_THRESHOLD + 10 - x)))
+    if head_terms > MAX_TERMS:
+        raise ConvergenceError("series head exceeds MAX_TERMS in psi2_series")
     head = mpf(0)
     for k in range(head_terms):
         head += (1 + k) * (x + k) ** (-(n + 1))
@@ -126,29 +130,27 @@ def psi2_series(arg: PolyDoubleArg, prec: Precision = DEFAULT_PRECISION) -> Eval
     )
     value = sign * fact * (head + tail)
     # Each head term is rounded at working precision.
-    rounding = abs(value) * head_terms * mpf(10) ** (-mp.dps)
+    rounding = abs(value) * head_terms * rounding_unit()
     return EvalResult(
         value=value, error=float(fact * err + rounding) + 1e-30, method="series"
     )
 
 
-def psi2_from_polygamma(
-    arg: PolyDoubleArg, prec: Precision = DEFAULT_PRECISION
-) -> EvalResult:
+def psi2_from_polygamma(arg: PolyDoubleArg) -> EvalResult:
     """psi2^(n)(x) = -n psi^(n-1)(x) + (1-x) psi^(n)(x)."""
     n, x = arg.n, arg.x
-    lo = polygamma(n - 1, x, prec)
-    hi = polygamma(n, x, prec)
+    lo = polygamma(n - 1, x)
+    hi = polygamma(n, x)
     value = -n * lo.value + (1 - x) * hi.value
     err = n * lo.error + abs(float(1 - x)) * hi.error
     return EvalResult(value=value, error=err + 1e-30, method="polygamma")
 
 
-def psi2_zeta_form(arg: PolyDoubleArg, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
+def psi2_zeta_form(arg: PolyDoubleArg) -> EvalResult:
     """Equivalent closed form (-1)^(n+1) n! (zeta(n,x) + (1-x) zeta(n+1,x))."""
     n, x = arg.n, arg.x
-    za = hurwitz_zeta(n, x, prec)
-    zb = hurwitz_zeta(n + 1, x, prec)
+    za = hurwitz_zeta(n, x)
+    zb = hurwitz_zeta(n + 1, x)
     fact = mp.factorial(n)
     value = mpf(-1) ** (n + 1) * fact * (za.value + (1 - x) * zb.value)
     err = float(fact) * (za.error + abs(float(1 - x)) * zb.error)
@@ -199,7 +201,7 @@ def asymptotic_remainder(arg: PolyDoubleArg, params: AsymptoticParams) -> EvalRe
     spec = IntegrandSpec(
         evaluate=evaluate, decay_rate=float(x), origin_order=n + 2 * N
     )
-    quad = integrate_semi_infinite(spec, params.remainder_tol)
+    quad = integrate_semi_infinite(spec, REMAINDER_TOL)
     return EvalResult(
         value=mpf(-1) ** n * quad.value,
         error=quad.error_estimate,
@@ -274,14 +276,14 @@ def psi2_asymptotic(
     return EvalResult(value=value, error=err + 1e-30, method="asymptotic")
 
 
-def _via_asymptotic(arg: PolyDoubleArg, prec: Precision) -> EvalResult:
+def _via_asymptotic(arg: PolyDoubleArg) -> EvalResult:
     # psi2^(n)(x) = expansion at x-1; recurrence-shift first if x is small.
     n, x = arg.n, arg.x
-    shift = max(0, int(mp.ceil(prec.shift_threshold + 1 - x)))
+    shift = max(0, int(mp.ceil(SHIFT_THRESHOLD + 1 - x)))
     head = mpf(0)
     head_err = 0.0
     for i in range(shift):
-        pg = polygamma(n, x + i, prec)
+        pg = polygamma(n, x + i)
         head += pg.value
         head_err += pg.error
     base = psi2_asymptotic(
@@ -293,11 +295,7 @@ def _via_asymptotic(arg: PolyDoubleArg, prec: Precision) -> EvalResult:
     )
 
 
-def psi2_eval(
-    arg: PolyDoubleArg,
-    method: str = "auto",
-    prec: Precision = DEFAULT_PRECISION,
-) -> EvalResult:
+def psi2_eval(arg: PolyDoubleArg, method: str = "auto") -> EvalResult:
     """Evaluate psi2^(n)(x) by the named route.
 
     ``auto`` is the canonical series at every argument; past the shift
@@ -308,15 +306,13 @@ def psi2_eval(
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method == "series":
-        return psi2_series(arg, prec)
     if method == "polygamma":
-        return psi2_from_polygamma(arg, prec)
+        return psi2_from_polygamma(arg)
     if method == "integral":
-        return psi2_integral(arg, tol=prec.abs_tol)
+        return psi2_integral(arg, tol=ABS_TOL)
     if method == "asymptotic":
-        return _via_asymptotic(arg, prec)
-    return psi2_series(arg, prec)
+        return _via_asymptotic(arg)
+    return psi2_series(arg)
 
 
 @lru_cache(maxsize=200000)
@@ -325,16 +321,12 @@ def _cached_value(n: int, x: mpf, working_prec: int) -> EvalResult:
 
 
 def psi2_cached(n: int, x) -> EvalResult:
-    """Memoized canonical-series evaluation at default precision.
+    """Memoized canonical-series evaluation at the working precision.
 
     Keyed on mp.prec too, so raising the working precision never serves a
     value computed at a lower one.
     """
     return _cached_value(n, mpf(x), mp.prec)
-
-
-def psi2_value(n: int, x) -> mpf:
-    return psi2_cached(n, x).value
 
 
 class GridResult(NamedTuple):
@@ -413,7 +405,7 @@ def psi2_grid(n: int, x) -> GridResult:
     return GridResult(value, error)
 
 
-def psi2_didouble(x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
+def psi2_didouble(x) -> EvalResult:
     """First logarithmic derivative psi2(x), by its own series:
 
         -log(2 pi)/2 + (1+gamma) x + 1/2 - sum_{k>=0} (x-1)^2/((k+1)(x+k)).
@@ -429,13 +421,13 @@ def psi2_didouble(x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
     if x == 1:
         return EvalResult(value=base_part, error=1e-30, method="series-em")
 
-    head_terms = max(16, int(mp.ceil(prec.shift_threshold + 10 - x)))
+    head_terms = max(16, int(mp.ceil(SHIFT_THRESHOLD + 10 - x)))
     head = mpf(0)
     for k in range(head_terms):
         head += (x - 1) ** 2 / ((k + 1) * (x + k))
 
     s = x - 1
-    threshold = max(mpf(prec.abs_tol) * mpf("1e-8"), mpf(10) ** (-mp.dps - 2))
+    threshold = max(mpf(ABS_TOL) * mpf("1e-8"), mpf(10) ** (-mp.dps - 2))
     tail, err = euler_maclaurin_tail(
         [(s, head_terms + 1, 1), (-s, head_terms + x, 1)], threshold
     )
@@ -444,32 +436,32 @@ def psi2_didouble(x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
     )
 
 
-def log_barnes_g(x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
+def log_barnes_g(x) -> EvalResult:
     """log G(x) for x > 0, G being Barnes' G: G(1) = 1, G(x+1) = Gamma(x) G(x).
 
     This is +log G, while the psi2 family is made of derivatives of -log G:
     psi2^(n)(x) = -(log G)^(n+1)(x) and psi2(x) = 1 + gamma - (log G)'(x).
 
-    For y = x + m >= prec.shift_threshold + 1, Barnes' expansion at z = y - 1,
+    For y = x + m >= SHIFT_THRESHOLD + 1, Barnes' expansion at z = y - 1,
 
         log G(z+1) = z^2/2 log z - 3z^2/4 + (z/2) log(2 pi) - (1/12) log z
                      + zeta'(-1) + sum_{k>=1} B_{2k+2} / (4k(k+1) z^(2k)),
 
     is truncated at its smallest term, or before the first term below
     10^-(dps+2) times the leading terms.  A smaller x is shifted up by
-    m = ceil(shift_threshold + 1 - x) through the closed form
+    m = ceil(SHIFT_THRESHOLD + 1 - x) through the closed form
 
         log G(x) = log G(x+m) - m log Gamma(x+m) + sum_{j<m} (j+1) log(x+j),
 
-    one log-gamma and m logs (m <= 13 at the default threshold), so the cost
-    does not grow with x.  The error is the first omitted term of the
-    expansion plus the rounding of the sum: 10^-dps times the number of
-    summands times the sum of their magnitudes.
+    one log-gamma and m logs (m <= 13), so the cost does not grow with x.
+    The error is the first omitted term of the expansion plus the rounding
+    of the sum: the rounding unit times the number of summands times the
+    sum of their magnitudes.
     """
     x = mpf(x)
     if x <= 0:
         raise DomainError("log_barnes_g requires x > 0")
-    m = max(0, int(mp.ceil(prec.shift_threshold + 1 - x)))
+    m = max(0, int(mp.ceil(SHIFT_THRESHOLD + 1 - x)))
     z = x + m - 1
     log_z = mp.log(z)
     parts = [
@@ -483,6 +475,8 @@ def log_barnes_g(x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
         parts.append(-m * log_gamma(x + m))
         parts.extend((j + 1) * mp.log(x + j) for j in range(m))
     magnitude = sum(abs(p) for p in parts)
+    # Terms stop counting below 10^-(dps+2) of the sum, but the claimed
+    # rounding uses rounding_unit(), which never passes the tables' digits.
     eps = mpf(10) ** (-mp.dps)
     # The k-th term needs B_{2k+2}, so the table stops the series one short
     # of the other Bernoulli series.
@@ -492,5 +486,5 @@ def log_barnes_g(x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
         last=BERNOULLI.capacity // 2 - 1,
         small=eps / 100 * magnitude,
     )
-    err = omitted + len(parts) * magnitude * eps
+    err = omitted + len(parts) * magnitude * rounding_unit()
     return EvalResult(value=total, error=float(err), method="barnes-asymptotic")

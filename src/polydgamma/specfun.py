@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -27,31 +26,26 @@ WORKING_DPS = 30
 if mp.dps < WORKING_DPS:
     mp.dps = WORKING_DPS
 
-DEFAULT_BERNOULLI_CAPACITY = 64
+# The evaluation budget of every series in the package.
+# Absolute error target of the routes; a Hurwitz zeta tail that cannot
+# reach it raises ConvergenceError.
+ABS_TOL = 1e-12
+# Most terms summed directly before a tail or an expansion takes over.
+MAX_TERMS = 4096
+# Argument size above which asymptotic expansions and Euler-Maclaurin tails
+# are trusted; smaller arguments are recurrence-shifted past it first.
+SHIFT_THRESHOLD = 12.0
 
 
-@dataclass(frozen=True)
-class Precision:
-    """Evaluation budget: target absolute error, series cap, shift threshold.
+def rounding_unit() -> mpf:
+    """Relative rounding of one operation, as claimed errors count it.
 
-    ``shift_threshold`` is the argument size above which asymptotic
-    expansions are trusted; smaller arguments are recurrence-shifted first.
+    10^-mp.dps, but never below 10^-WORKING_DPS: the Bernoulli table, the
+    Euler-Maclaurin weights and the constants are built once at import, so
+    raising mp.dps later does not make them any more accurate.  Stop rules
+    still use 10^-mp.dps: more terms never hurt.
     """
-
-    abs_tol: float = 1e-12
-    max_terms: int = 4096
-    shift_threshold: float = 12.0
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_terms < 16:
-            raise ValueError("max_terms must be at least 16")
-        if self.shift_threshold < 8:
-            raise ValueError("shift_threshold must be at least 8")
-
-
-DEFAULT_PRECISION = Precision()
+    return mpf(10) ** (-min(mp.dps, WORKING_DPS))
 
 
 @dataclass(frozen=True)
@@ -89,10 +83,6 @@ class BernoulliTable:
         floats = tuple(mpf(v.numerator) / mpf(v.denominator) for v in self.values)
         object.__setattr__(self, "floats", floats)
 
-    @classmethod
-    def build(cls, capacity: int = DEFAULT_BERNOULLI_CAPACITY) -> "BernoulliTable":
-        return cls(values=_bernoulli_fractions(capacity))
-
     @property
     def capacity(self) -> int:
         return len(self.values) - 1
@@ -111,7 +101,7 @@ class BernoulliTable:
         return self.floats[k]
 
 
-BERNOULLI = BernoulliTable.build()
+BERNOULLI = BernoulliTable(values=_bernoulli_fractions(64))
 
 # Euler-Maclaurin correction weights B_2j / (2j)!, j = 1..14: the most
 # corrections the engine applies before reporting what it has.
@@ -176,12 +166,14 @@ def euler_maclaurin_tail(terms, threshold):
     return total, err
 
 
-def hurwitz_zeta(s: int, a, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
+def hurwitz_zeta(s: int, a) -> EvalResult:
     """zeta(s, a) = sum_{k>=0} (k+a)^(-s) for integer s >= 2, a > 0.
 
     Direct summation until k + a clears the shift threshold, then the
     Euler-Maclaurin tail of :func:`euler_maclaurin_tail`.  The reported
-    error is the larger of its last two corrections.
+    error is the larger of its last two corrections plus the rounding of
+    the head, head * n_direct * rounding_unit(): its terms are positive, so
+    no cancellation hides their size.
     """
     if s < 2 or int(s) != s:
         raise DomainError("hurwitz_zeta requires an integer s >= 2")
@@ -190,22 +182,25 @@ def hurwitz_zeta(s: int, a, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
         raise DomainError("hurwitz_zeta requires a > 0")
     s = int(s)
 
-    n_direct = max(8, int(mp.ceil(prec.shift_threshold + 10 - a)))
-    if n_direct > prec.max_terms:
+    n_direct = max(8, int(mp.ceil(SHIFT_THRESHOLD + 10 - a)))
+    if n_direct > MAX_TERMS:
         raise ConvergenceError("direct-term budget exceeded in hurwitz_zeta")
     head = mpf(0)
     for k in range(n_direct):
         head += (a + k) ** (-s)
 
-    threshold = max(mpf(prec.abs_tol) * mpf("1e-6"), mpf(10) ** (-mp.dps - 2))
+    threshold = max(mpf(ABS_TOL) * mpf("1e-6"), mpf(10) ** (-mp.dps - 2))
     tail, err = euler_maclaurin_tail([(1, a + n_direct, s)], threshold)
-    if err > prec.abs_tol:
+    if err > ABS_TOL:
         raise ConvergenceError(
-            "hurwitz_zeta tail did not reach abs_tol",
+            "hurwitz_zeta tail did not reach ABS_TOL",
             best=head + tail,
             error_estimate=float(err),
         )
-    return EvalResult(value=head + tail, error=float(err), method="euler-maclaurin")
+    rounding = head * n_direct * rounding_unit()
+    return EvalResult(
+        value=head + tail, error=float(err + rounding), method="euler-maclaurin"
+    )
 
 
 def _smallest_term_sum(total, term, last=BERNOULLI.capacity // 2, small=0):
@@ -227,7 +222,7 @@ def _smallest_term_sum(total, term, last=BERNOULLI.capacity // 2, small=0):
     return total, prev, last
 
 
-def _polygamma_asymptotic(n: int, y, prec: Precision):
+def _polygamma_asymptotic(n: int, y):
     """Large-argument expansion of psi^(n)(y); (value, first omitted term,
     terms added)."""
     if n == 0:
@@ -244,13 +239,13 @@ def _polygamma_asymptotic(n: int, y, prec: Precision):
     return (-1) ** (n - 1) * total, err, count
 
 
-def polygamma(n: int, x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
+def polygamma(n: int, x) -> EvalResult:
     """psi^(n)(x) for n >= 0, x > 0.
 
-    Recurrence-shift the argument above ``prec.shift_threshold``, apply the
+    Recurrence-shift the argument above ``SHIFT_THRESHOLD``, apply the
     Bernoulli asymptotic series truncated at its smallest term, shift back.
     The error is the first omitted term plus the rounding of the sum,
-    (|shift head| + |expansion|) (shift + terms summed + 2) 10^-dps: the
+    (|shift head| + |expansion|) (shift + terms summed + 2) unit: the
     head and the expansion can cancel (psi near its zero), so their
     magnitudes count, not that of the value.
     """
@@ -260,7 +255,7 @@ def polygamma(n: int, x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
     if x <= 0:
         raise DomainError("polygamma requires x > 0")
 
-    shift = max(0, int(mp.ceil(prec.shift_threshold - x)))
+    shift = max(0, int(mp.ceil(SHIFT_THRESHOLD - x)))
     y = x + shift
     head = mpf(0)
     if n == 0:
@@ -270,8 +265,8 @@ def polygamma(n: int, x, prec: Precision = DEFAULT_PRECISION) -> EvalResult:
         coeff = (-1) ** n * mp.factorial(n)
         for i in range(shift):
             head -= coeff * (x + i) ** (-(n + 1))
-    asym, err, count = _polygamma_asymptotic(n, y, prec)
-    rounding = (abs(head) + abs(asym)) * (shift + count + 2) * mpf(10) ** (-mp.dps)
+    asym, err, count = _polygamma_asymptotic(n, y)
+    rounding = (abs(head) + abs(asym)) * (shift + count + 2) * rounding_unit()
     return EvalResult(
         value=head + asym, error=float(err + rounding), method="shift-asymptotic"
     )
@@ -285,8 +280,7 @@ def log_gamma(x) -> mpf:
     x = mpf(x)
     if x <= 0:
         raise DomainError("log_gamma requires x > 0")
-    prec = DEFAULT_PRECISION
-    shift = max(0, int(mp.ceil(prec.shift_threshold - x)))
+    shift = max(0, int(mp.ceil(SHIFT_THRESHOLD - x)))
     y = x + shift
     head = mpf(0)
     for i in range(shift):
@@ -296,17 +290,3 @@ def log_gamma(x) -> mpf:
         lambda k: BERNOULLI[2 * k] / (2 * k * (2 * k - 1) * y ** (2 * k - 1)),
     )
     return head + total
-
-
-@lru_cache(maxsize=None)
-def _cached_polygamma(n: int, x: mpf, working_prec: int) -> EvalResult:
-    return polygamma(n, x)
-
-
-def polygamma_cached(n: int, x) -> EvalResult:
-    """Memoized polygamma at default precision (read-only shared cache).
-
-    Keyed on mp.prec too, so raising the working precision never serves a
-    value computed at a lower one.
-    """
-    return _cached_polygamma(n, mpf(x), mp.prec)

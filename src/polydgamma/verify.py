@@ -36,13 +36,7 @@ from .polydg import (
     psi2_zeta_form,
 )
 from .quadrature import IntegrandSpec, integrate_finite, integrate_semi_infinite
-from .specfun import (
-    BERNOULLI,
-    DEFAULT_PRECISION,
-    Precision,
-    hurwitz_zeta,
-    polygamma_cached,
-)
+from .specfun import BERNOULLI, hurwitz_zeta, polygamma
 
 DISCLAIMER = "numerical certification at finite depth/grid; not a symbolic proof"
 
@@ -51,6 +45,9 @@ DISCLAIMER = "numerical certification at finite depth/grid; not a symbolic proof
 STRICTNESS_FACTOR = 10.0
 
 MAX_HANKEL_ORDER = 4
+
+# Sampled pairs for the additive corollaries of the G_n(x; r) check.
+G_PAIR_SAMPLES = 50
 
 
 @dataclass(frozen=True)
@@ -80,10 +77,6 @@ class Grid:
         return [mp.exp(llo + i * step) for i in range(n)]
 
 
-def default_grid(lo=0.05, hi=50.0, count=200, spacing="log") -> Grid:
-    return Grid(lo=lo, hi=hi, count=count, spacing=spacing)
-
-
 @dataclass
 class CheckReport:
     """Pass/fail verdict for one theorem check with per-point witnesses."""
@@ -110,9 +103,11 @@ class CheckReport:
 
 
 class _ReportBuilder:
-    def __init__(self, check_id, params, tolerance=0.0):
+    def __init__(self, check_id, params):
+        # Verdicts gate margins on STRICTNESS_FACTOR times each point's own
+        # error estimate, so no fixed tolerance is ever applied.
         self.report = CheckReport(
-            check_id=check_id, params=params, passed=True, tolerance_used=tolerance
+            check_id=check_id, params=params, passed=True, tolerance_used=0.0
         )
 
     def record(self, point, lhs, rhs, err, strict=True, label=None):
@@ -164,6 +159,8 @@ def check_cm(n: int, depth: int, grid: Grid) -> CheckReport:
     """
     if n < 2:
         raise DomainError("check_cm requires n >= 2")
+    if depth < 0:
+        raise DomainError("derivative depth must be >= 0")
     b = _ReportBuilder("cm", {"n": n, "depth": depth, "grid": asdict(grid)})
     for x in grid.points():
         for k in range(depth + 1):
@@ -424,7 +421,7 @@ class GParams:
             raise DomainError("r must be non-zero")
 
 
-def check_G_convexity(params: GParams, grid: Grid, pair_samples: int = 50) -> CheckReport:
+def check_G_convexity(params: GParams, grid: Grid) -> CheckReport:
     """Sign of the exact second derivative of G_n(x; r):
 
         G'' = r u^(r-2) [ (r-1) (psi2^(n+1))^2 + psi2^(n) psi2^(n+2) ],
@@ -468,7 +465,7 @@ def check_G_convexity(params: GParams, grid: Grid, pair_samples: int = 50) -> Ch
     if expected in ("convex", "concave") and (r < lo_gap or hi_gap < r < 0):
         sub = r < lo_gap  # G(x)+G(y) < G(x+y) below the gap
         hi_pair = min(grid.hi, 4.0)
-        for x1, x2 in _triangle_pairs(2 * hi_pair, pair_samples, seed=1):
+        for x1, x2 in _triangle_pairs(2 * hi_pair, G_PAIR_SAMPLES, seed=1):
             g1 = mpf(-1) ** (n + 1) * _v(n, x1).value
             g2 = mpf(-1) ** (n + 1) * _v(n, x2).value
             g12 = mpf(-1) ** (n + 1) * _v(n, x1 + x2).value
@@ -547,6 +544,8 @@ def check_hankel_cm(params: HankelParams, depth: int, grid: Grid) -> CheckReport
     (-1)^((n+1)(m+1)) D(y) is non-negative and (depth >= 1) non-increasing,
     its derivative taken exactly by the Jacobi row-expansion.
     """
+    if depth < 0:
+        raise DomainError("derivative depth must be >= 0")
     b = _ReportBuilder(
         "hankel",
         {"n": params.n, "j": params.j, "m": params.m, "depth": depth,
@@ -669,7 +668,7 @@ def _lagrange_brute_force(n=3, x=1.0, terms=10000):
     return brute * fact2, moment_form * fact2
 
 
-def audit_identities(prec: Precision = DEFAULT_PRECISION) -> list:
+def audit_identities() -> list:
     """Test every printed representation against the canonical series.
 
     Returns a deterministic list of entries; discrepancies are findings,
@@ -690,14 +689,14 @@ def audit_identities(prec: Precision = DEFAULT_PRECISION) -> list:
         (
             "polygamma-relation",
             "-n psi^(n-1) + (1-x) psi^(n)",
-            lambda arg: psi2_from_polygamma(arg, prec),
+            psi2_from_polygamma,
             "polygamma combination matches the series",
             "polygamma combination disagrees with the series",
         ),
         (
             "zeta-closed-form",
             "(-1)^(n+1) n! (zeta(n,x) + (1-x) zeta(n+1,x))",
-            lambda arg: psi2_zeta_form(arg, prec),
+            psi2_zeta_form,
             "Hurwitz-zeta closed form matches the series",
             "Hurwitz-zeta closed form disagrees with the series",
         ),
@@ -705,7 +704,7 @@ def audit_identities(prec: Precision = DEFAULT_PRECISION) -> list:
     for identity_id, anchor, route, note_ok, note_bad in routes:
         dev, err = 0.0, 0.0
         for n, x in probes:
-            a = psi2_series(PolyDoubleArg(n, x), prec)
+            a = psi2_series(PolyDoubleArg(n, x))
             b = route(PolyDoubleArg(n, x))
             dev = max(dev, abs(float(a.value - b.value)))
             err = max(err, a.error + b.error)
@@ -714,9 +713,9 @@ def audit_identities(prec: Precision = DEFAULT_PRECISION) -> list:
     # Downward recurrence.
     dev, err = 0.0, 0.0
     for n, x in probes:
-        a = psi2_series(PolyDoubleArg(n, x), prec)
-        bshift = psi2_series(PolyDoubleArg(n, x + 1), prec)
-        pg = polygamma_cached(n, x)
+        a = psi2_series(PolyDoubleArg(n, x))
+        bshift = psi2_series(PolyDoubleArg(n, x + 1))
+        pg = polygamma(n, x)
         dev = max(dev, abs(float(bshift.value + pg.value - a.value)))
         err = max(err, a.error + bshift.error + pg.error)
     entries.append(
@@ -747,7 +746,7 @@ def audit_identities(prec: Precision = DEFAULT_PRECISION) -> list:
     # Derived asymptotic expansion with exact remainder: an identity.
     dev, err = 0.0, 0.0
     for n, x, N in [(2, mpf(2), 3), (3, mpf(10), 4), (5, mpf(1), 6)]:
-        ref = psi2_series(PolyDoubleArg(n, x + 1), prec)
+        ref = psi2_series(PolyDoubleArg(n, x + 1))
         asym = psi2_asymptotic(
             PolyDoubleArg(n, x), AsymptoticParams(terms=N, include_remainder=True)
         )
@@ -766,7 +765,7 @@ def audit_identities(prec: Precision = DEFAULT_PRECISION) -> list:
 
     # Printed sigma: exponent off by one power of x and one factorial step.
     n, x, N = 3, mpf(2), 4
-    ref = psi2_series(PolyDoubleArg(n, x + 1), prec)
+    ref = psi2_series(PolyDoubleArg(n, x + 1))
     tau = asymptotic_remainder(PolyDoubleArg(n, x), AsymptoticParams(terms=N))
     closed = asymptotic_closed_form(PolyDoubleArg(n, x)).value
     with_printed = closed + _printed_sigma(n, x, N) + tau.value
@@ -806,13 +805,13 @@ def audit_identities(prec: Precision = DEFAULT_PRECISION) -> list:
     # Half-argument difference in Hurwitz-zeta terms.
     s_ord, m = 4, mpf(3)
     direct = (
-        psi2_series(PolyDoubleArg(s_ord, m / 2), prec).value
-        - psi2_series(PolyDoubleArg(s_ord, m), prec).value
+        psi2_series(PolyDoubleArg(s_ord, m / 2)).value
+        - psi2_series(PolyDoubleArg(s_ord, m)).value
     )
-    za = hurwitz_zeta(s_ord, m / 2, prec).value
-    zb = hurwitz_zeta(s_ord + 1, m / 2, prec).value
-    zc = hurwitz_zeta(s_ord, m, prec).value
-    zd = hurwitz_zeta(s_ord + 1, m, prec).value
+    za = hurwitz_zeta(s_ord, m / 2).value
+    zb = hurwitz_zeta(s_ord + 1, m / 2).value
+    zc = hurwitz_zeta(s_ord, m).value
+    zd = hurwitz_zeta(s_ord + 1, m).value
     fact = mp.factorial(s_ord)
     printed = mpf(-1) ** (s_ord + 1) * fact * (2 * za + (2 - m) * zb) + mpf(-1) ** (
         s_ord - 1
@@ -830,10 +829,10 @@ def audit_identities(prec: Precision = DEFAULT_PRECISION) -> list:
     )
 
     # Half-argument difference in polygamma terms.
-    pa = polygamma_cached(s_ord - 1, m / 2).value
-    pb = polygamma_cached(s_ord, m / 2).value
-    pc = polygamma_cached(s_ord - 1, m).value
-    pd = polygamma_cached(s_ord, m).value
+    pa = polygamma(s_ord - 1, m / 2).value
+    pb = polygamma(s_ord, m / 2).value
+    pc = polygamma(s_ord - 1, m).value
+    pd = polygamma(s_ord, m).value
     printed = -2 * s_ord * pa + (2 - m) * pb + s_ord * pc - (1 - m) * pd
     entries.append(
         _entry(
@@ -862,7 +861,7 @@ def audit_identities(prec: Precision = DEFAULT_PRECISION) -> list:
     )
 
     # First-derivative integral formula vs the di-double series.
-    didouble_ref = psi2_didouble(1, prec)
+    didouble_ref = psi2_didouble(1)
     entries.append(
         _entry(
             "didouble-integral-normalization",

@@ -28,6 +28,12 @@ class TestExitCodes:
     def test_unknown_check_id(self, capsys):
         assert main(["check", "--id", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("cid", ["cm", "hankel"])
+    def test_negative_depth(self, cid, capsys):
+        # A negative depth has nothing to check; it must not pass vacuously.
+        assert main(["check", "--id", cid, "--depth", "-1", "--grid-count", "4"]) == 2
+        assert "depth" in capsys.readouterr().err
+
     def test_gap_omega_counterexample(self, capsys):
         code = main(["check", "--id", "F-cm", "--n", "3", "--omega", "0.6",
                      "--depth", "2", "--grid-count", "8"])

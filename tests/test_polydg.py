@@ -251,6 +251,17 @@ class TestLogBarnesG:
         with mp.workdps(60):
             assert abs(r.value - mp.log(mp.barnesg(x))) <= r.error
 
+    @pytest.mark.parametrize("x", ["0.5", "3.7", "20"])
+    def test_error_covers_at_fifty_digits(self, x):
+        # Glaisher's constant and the Bernoulli table hold 30 digits, so the
+        # claimed rounding must not shrink with mp.dps: log G(3.7) at 50
+        # digits is off by 2.6e-32.
+        with mp.workdps(50):
+            x = mpf(x)
+            r = log_barnes_g(x)
+            with mp.workdps(80):
+                assert abs(r.value - mp.log(mp.barnesg(x))) <= r.error
+
     @pytest.mark.parametrize("x", ["0.25", "2", "7.5", "12.5", "1000"])
     def test_sign_convention(self, x):
         # log_barnes_g is +log G, and psi2^(2) is minus its third derivative.

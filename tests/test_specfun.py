@@ -12,14 +12,12 @@ from polydgamma import (
     BERNOULLI,
     CapacityError,
     DomainError,
-    Precision,
     bernoulli,
     hurwitz_zeta,
     log_gamma,
     polygamma,
-    polygamma_cached,
 )
-from polydgamma.specfun import euler_maclaurin_tail
+from polydgamma.specfun import WORKING_DPS, euler_maclaurin_tail, rounding_unit
 
 # Independent 50-digit oracles (frozen).
 ORACLE = {
@@ -100,6 +98,19 @@ class TestHurwitzZeta:
         rhs = a ** (-s)
         assert abs(lhs - rhs) < 1e-18 * max(1.0, abs(float(rhs)))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        s=st.integers(min_value=2, max_value=41),
+        log10_a=st.floats(min_value=-3.0, max_value=4.0),
+    )
+    def test_error_covers_mpmath_zeta(self, s, log10_a):
+        # The claimed error includes the rounding of the head, not only the
+        # truncation of the tail: zeta(30, 0.01) ~ 1e60 is off by ~1e29.
+        a = mpf(10.0 ** log10_a)
+        r = hurwitz_zeta(s, a)
+        with mp.workdps(60):
+            assert abs(r.value - mp.zeta(s, a)) <= r.error
+
 
 class TestEulerMaclaurin:
     def test_against_mpmath_zeta(self):
@@ -167,18 +178,6 @@ class TestPolygamma:
         with mp.workdps(60):
             assert abs(r.value - mp.psi(n, x)) <= r.error
 
-    def test_cache_stability(self):
-        a = polygamma_cached(2, 1.5)
-        b = polygamma_cached(2, 1.5)
-        assert a is b
-
-    def test_cache_keyed_on_precision(self):
-        # A value cached at 10 digits must not be served at 30.
-        x = mpf("0.375")
-        with mp.workdps(10):
-            polygamma_cached(3, x)
-        assert polygamma_cached(3, x) == polygamma(3, x)
-
 
 class TestLogGamma:
     def test_oracles(self):
@@ -196,15 +195,23 @@ class TestLogGamma:
         assert abs(log_gamma(x + 1) - log_gamma(x) - mp.log(x)) < 1e-20
 
 
-class TestPrecision:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            Precision(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            Precision(max_terms=4)
-        with pytest.raises(ValueError):
-            Precision(shift_threshold=1.0)
+class TestAboveWorkingPrecision:
+    """The tables are built once at WORKING_DPS, so a higher mp.dps must not
+    make the claimed errors any smaller than those digits support."""
 
-    def test_defaults_valid(self):
-        p = Precision()
-        assert p.abs_tol == 1e-12
+    def test_rounding_unit(self):
+        assert rounding_unit() == mpf(10) ** -WORKING_DPS
+        with mp.workdps(50):
+            assert rounding_unit() == mpf(10) ** -WORKING_DPS
+        with mp.workdps(15):
+            assert rounding_unit() == mpf(10) ** -15
+
+    @pytest.mark.parametrize("n,x", [(2, "3.7"), (3, "20"), (5, "0.3")])
+    def test_errors_cover_at_fifty_digits(self, n, x):
+        with mp.workdps(50):
+            x = mpf(x)
+            pg = polygamma(n, x)
+            hz = hurwitz_zeta(n, x)
+            with mp.workdps(80):
+                assert abs(pg.value - mp.psi(n, x)) <= pg.error
+                assert abs(hz.value - mp.zeta(n, x)) <= hz.error
