@@ -26,13 +26,12 @@ from typing import NamedTuple
 import numpy as np
 from mpmath import mp, mpf
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .quadrature import IntegrandSpec, integrate_semi_infinite
 from .specfun import (
     ABS_TOL,
     BERNOULLI,
     CONSTANTS,
-    MAX_TERMS,
     SHIFT_THRESHOLD,
     EvalResult,
     _EM_WEIGHTS,
@@ -116,8 +115,6 @@ def psi2_series(arg: PolyDoubleArg) -> EvalResult:
     fact = mp.factorial(n)
 
     head_terms = max(8, int(mp.ceil(SHIFT_THRESHOLD + 10 - x)))
-    if head_terms > MAX_TERMS:
-        raise ConvergenceError("series head exceeds MAX_TERMS in psi2_series")
     head = mpf(0)
     for k in range(head_terms):
         head += (1 + k) * (x + k) ** (-(n + 1))

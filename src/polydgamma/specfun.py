@@ -30,8 +30,6 @@ if mp.dps < WORKING_DPS:
 # Absolute error target of the routes; a Hurwitz zeta tail that cannot
 # reach it raises ConvergenceError.
 ABS_TOL = 1e-12
-# Most terms summed directly before a tail or an expansion takes over.
-MAX_TERMS = 4096
 # Argument size above which asymptotic expansions and Euler-Maclaurin tails
 # are trusted; smaller arguments are recurrence-shifted past it first.
 SHIFT_THRESHOLD = 12.0
@@ -183,8 +181,6 @@ def hurwitz_zeta(s: int, a) -> EvalResult:
     s = int(s)
 
     n_direct = max(8, int(mp.ceil(SHIFT_THRESHOLD + 10 - a)))
-    if n_direct > MAX_TERMS:
-        raise ConvergenceError("direct-term budget exceeded in hurwitz_zeta")
     head = mpf(0)
     for k in range(n_direct):
         head += (a + k) ** (-s)

@@ -8,6 +8,16 @@ emit a :class:`CheckReport` with per-point witnesses; the identity audit
 compares each printed representation against the canonical series and
 classifies it as confirmed or discrepant.
 
+Each psi2-based check writes its per-point arithmetic once, as a function
+of a lookup of psi2^(m), and runs it in two tiers.  First over the whole
+grid in float64 (:func:`psi2_grid` arrays), with an error that also covers
+the arithmetic's own rounding, the rounding of the arguments to doubles and
+the 30-digit tier's claimed error; then at 30 digits (:func:`psi2_cached`)
+for the points that float64 does not decide: a margin within the gate, or
+a value that does not fit a double.  So each status is the one the 30-digit
+evaluation reaches; ``summary.escalated`` counts the recomputed points.
+The Hankel determinants and the I_1 quadratures run at 30 digits only.
+
 Verification is numerical certification at finite depth on finite grids,
 not symbolic proof; report headers say so.
 """
@@ -16,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp, mpf
@@ -31,17 +43,20 @@ from .polydg import (
     psi2_cached,
     psi2_didouble,
     psi2_from_polygamma,
+    psi2_grid,
     psi2_integral,
     psi2_series,
     psi2_zeta_form,
 )
 from .quadrature import IntegrandSpec, integrate_finite, integrate_semi_infinite
-from .specfun import BERNOULLI, hurwitz_zeta, polygamma
+from .specfun import BERNOULLI, hurwitz_zeta, polygamma, rounding_unit
 
 DISCLAIMER = "numerical certification at finite depth/grid; not a symbolic proof"
 
 # An inequality holds strictly when its margin clears this multiple of the
 # combined error estimate; smaller |margins| are inconclusive, not failures.
+# The float64 tier decides a point only when every margin clears it too;
+# the others are recomputed at 30 digits, which then set the status.
 STRICTNESS_FACTOR = 10.0
 
 MAX_HANKEL_ORDER = 4
@@ -102,6 +117,93 @@ class CheckReport:
         return cls(**d)
 
 
+class _Value(NamedTuple):
+    """A value and its absolute error: one number, or a float64 array."""
+
+    value: object
+    error: object
+
+
+# What the float tier adds to each psi2 value's error for the 30-digit tier's
+# own claim, so that a point it decides clears that tier's gate as well:
+# psi2_series claims at most 1.6e-19 relative above its absolute 1e-30 floor
+# (n 2..170, x 0.01..1e4).
+SERIES_CLAIM_REL = 1e-17
+SERIES_CLAIM_ABS = 2e-30
+
+# psi2 values below this magnitude leave products of two of them outside the
+# normal double range, where rounding is no longer relative; their points
+# are recomputed at 30 digits.
+FLOAT_VALUE_FLOOR = 1e-150
+
+
+class _FloatLookup:
+    """psi2^(m) at the i-th argument of every point at once, in float64.
+
+    Each error covers psi2_grid's bound, the 30-digit tier's own claim and
+    the rounding of the mpf argument to a double: float() truncates, by at
+    most 2^-52 relative, and |psi2^(m+1)(x)| <= (m+1)/x |psi2^(m)(x)| term
+    by term, so the value moves by at most (m+1) 2^-52 of its size; the
+    factor 2 covers the far end of the interval.
+    ``unfit`` marks the points where a value does not fit a double or falls
+    below FLOAT_VALUE_FLOOR.
+    """
+
+    unit = 2.0**-53
+    const = staticmethod(float)
+
+    def __init__(self, args):
+        self.columns = [np.array([float(a[i]) for a in args]) for i in range(len(args[0]))]
+        self.unfit = np.zeros(len(args), dtype=bool)
+        self.cache = {}
+
+    def __call__(self, m, i=0):
+        if (m, i) not in self.cache:
+            value, error = self._grid(m, self.columns[i])
+            size = abs(value) + error
+            error = (
+                error
+                + 4 * (m + 1) * self.unit * size
+                + SERIES_CLAIM_REL * size
+                + SERIES_CLAIM_ABS
+            )
+            self.unfit |= ~(abs(value) >= FLOAT_VALUE_FLOOR)
+            self.cache[m, i] = _Value(value, error)
+        return self.cache[m, i]
+
+    @staticmethod
+    def _grid(m, x):
+        try:
+            return psi2_grid(m, x)
+        except DomainError:
+            pass
+        # Some values do not fit a double: keep the others, NaN marks these.
+        value, error = np.full(x.shape, np.nan), np.full(x.shape, np.nan)
+        for j in range(len(x)):
+            try:
+                value[j], error[j] = (a[0] for a in psi2_grid(m, x[j : j + 1]))
+            except DomainError:
+                pass
+        return value, error
+
+
+class _ThirtyDigitLookup:
+    """psi2^(m) at the i-th argument of one point, from the 30-digit series."""
+
+    const = staticmethod(lambda c: c)
+
+    def __init__(self, args):
+        self.args = args
+        self.unit = rounding_unit()
+
+    def __call__(self, m, i=0):
+        return psi2_cached(m, self.args[i])
+
+
+def _item(a, p):
+    return a[p] if np.ndim(a) else a
+
+
 class _ReportBuilder:
     def __init__(self, check_id, params):
         # Verdicts gate margins on STRICTNESS_FACTOR times each point's own
@@ -109,6 +211,7 @@ class _ReportBuilder:
         self.report = CheckReport(
             check_id=check_id, params=params, passed=True, tolerance_used=0.0
         )
+        self.escalated = 0
 
     def record(self, point, lhs, rhs, err, strict=True, label=None):
         """Margin convention: positive means the claimed inequality holds.
@@ -138,8 +241,53 @@ class _ReportBuilder:
             entry["status"] = "equality" if not strict else "inconclusive"
             self.report.witnesses.append(entry)
 
+    def record_all(self, points, args, claims, strict=True, recorded=True):
+        """Evaluate ``claims`` at every point, in float64 where that decides.
+
+        ``claims(at)`` returns a list of (tail, label, lhs, rhs, err): each
+        is recorded at ``points[p] + tail``.  ``at(m, i)`` gives psi2^(m) at
+        ``args[p][i]`` (an mpf) with ``.value`` and ``.error``, and
+        ``at.const`` and ``at.unit`` the claims' constants and rounding unit
+        in the same arithmetic.  All points are first evaluated at once from
+        psi2_grid arrays.  A point is recomputed at 30 digits (psi2_cached)
+        when any of its margins lies within STRICTNESS_FACTOR times its
+        error, or a value, margin or error is not finite or does not fit
+        (``_FloatLookup.unfit``, or a margin under FLOAT_VALUE_FLOOR**2).  ``recorded=False`` evaluates the claims
+        without recording them.  Returns each point's claims, from the tier
+        that decided it.
+        """
+        if not points:
+            return []
+        at = _FloatLookup(args)
+        with np.errstate(all="ignore"):
+            batch = claims(at)
+            decided = ~at.unfit
+            for _, _, lhs, rhs, err in batch:
+                margin = lhs - rhs
+                decided &= np.isfinite(margin) & np.isfinite(err)
+                # A margin below the normal range is not rounded relatively.
+                decided &= abs(margin) > np.maximum(
+                    STRICTNESS_FACTOR * err, FLOAT_VALUE_FLOOR**2
+                )
+        results = []
+        for p, point in enumerate(points):
+            if decided[p]:
+                found = [
+                    (tail, label, float(_item(lhs, p)), float(_item(rhs, p)),
+                     float(_item(err, p)))
+                    for tail, label, lhs, rhs, err in batch
+                ]
+            else:
+                self.escalated += 1
+                found = claims(_ThirtyDigitLookup(args[p]))
+            if recorded:
+                for tail, label, lhs, rhs, err in found:
+                    self.record(point + tail, lhs, rhs, err, strict=strict, label=label)
+            results.append(found)
+        return results
+
     def done(self, **summary):
-        self.report.summary.update(summary)
+        self.report.summary.update(summary, escalated=self.escalated)
         return self.report
 
 
@@ -148,7 +296,21 @@ def _v(n, x):
 
 
 def _prod_err(a, b):
-    return abs(a.value) * b.error + abs(b.value) * a.error
+    return abs(a.value) * b.error + abs(b.value) * a.error + a.error * b.error
+
+
+def _on_grid(grid: Grid):
+    """Reported points and lookup arguments of a one-argument grid check."""
+    xs = grid.points()
+    return [[float(x)] for x in xs], [(x,) for x in xs]
+
+
+def _cm_claims(n, depth, at):
+    claims = []
+    for k in range(depth + 1):
+        r = at(n + k)
+        claims.append(([k], f"k={k}", (-1) ** (n + k + 1) * r.value, 0.0, r.error))
+    return claims
 
 
 def check_cm(n: int, depth: int, grid: Grid) -> CheckReport:
@@ -162,12 +324,17 @@ def check_cm(n: int, depth: int, grid: Grid) -> CheckReport:
     if depth < 0:
         raise DomainError("derivative depth must be >= 0")
     b = _ReportBuilder("cm", {"n": n, "depth": depth, "grid": asdict(grid)})
-    for x in grid.points():
-        for k in range(depth + 1):
-            r = _v(n + k, x)
-            signed = mpf(-1) ** (n + k + 1) * r.value
-            b.record([float(x), k], signed, 0.0, r.error, label=f"k={k}")
+    b.record_all(*_on_grid(grid), partial(_cm_claims, n, depth))
     return b.done()
+
+
+def _turan_claims(n, at):
+    """psi2^(n)(x) psi2^(n)(x+2) against psi2^(n)(x+1)^2, at (x, x+1, x+2)."""
+    lo, mid, hi = at(n, 0), at(n, 1), at(n, 2)
+    lhs, rhs = lo.value * hi.value, mid.value**2
+    # Two products and their difference, each rounded once.
+    err = _prod_err(lo, hi) + _prod_err(mid, mid) + at.unit * 2 * (abs(lhs) + rhs)
+    return [([], None, lhs, rhs, err)]
 
 
 def check_turan(n: int, grid: Grid) -> CheckReport:
@@ -175,13 +342,21 @@ def check_turan(n: int, grid: Grid) -> CheckReport:
     if n < 2:
         raise DomainError("check_turan requires n >= 2")
     b = _ReportBuilder("turan", {"n": n, "grid": asdict(grid)})
-    for x in grid.points():
-        mid, lo, hi = _v(n, x + 1), _v(n, x), _v(n, x + 2)
-        lhs = mid.value ** 2
-        rhs = lo.value * hi.value
-        err = 2 * abs(float(mid.value)) * mid.error + _prod_err(lo, hi)
-        b.record([float(x)], rhs, lhs, err)
+    points, args = _on_grid(grid)
+    b.record_all(points, [(x, x + 1, x + 2) for (x,) in args], partial(_turan_claims, n))
     return b.done()
+
+
+def _ratio_claims(n, lo_bound, hi_bound, at):
+    """(psi2^(n))^2 / (psi2^(n-1) psi2^(n+1)) against both bounds."""
+    lo_b, hi_b = at.const(lo_bound), at.const(hi_bound)
+    mid, lo, hi = at(n), at(n - 1), at(n + 1)
+    denom = lo.value * hi.value
+    ratio = mid.value**2 / denom
+    # Square, product and quotient, then the difference with a rounded bound.
+    err = (_prod_err(mid, mid) + abs(ratio) * _prod_err(lo, hi)) / abs(denom)
+    err = err + at.unit * (5 * abs(ratio) + 2 * hi_b)
+    return [([], "lower", ratio, lo_b, err), ([], "upper", hi_b, ratio, err)]
 
 
 def check_ratio_bounds(n: int, grid: Grid) -> CheckReport:
@@ -193,25 +368,13 @@ def check_ratio_bounds(n: int, grid: Grid) -> CheckReport:
     if n < 3:
         raise DomainError("check_ratio_bounds requires n >= 3")
     b = _ReportBuilder("ratio-bounds", {"n": n, "grid": asdict(grid)})
-    lo_bound = (n - 2) / (n - 1)
-    hi_bound = n / (n + 1)
-    ratios = []
-    for x in grid.points():
-        mid, lo, hi = _v(n, x), _v(n - 1, x), _v(n + 1, x)
-        ratio = mid.value ** 2 / (lo.value * hi.value)
-        denom = abs(float(lo.value * hi.value))
-        err = (
-            2 * abs(float(mid.value)) * mid.error
-            + float(abs(ratio)) * _prod_err(lo, hi)
-        ) / denom
-        ratios.append(float(ratio))
-        b.record([float(x)], ratio, lo_bound, err, label="lower")
-        b.record([float(x)], hi_bound, ratio, err, label="upper")
+    claims = partial(_ratio_claims, n, mpf(n - 2) / (n - 1), mpf(n) / (n + 1))
+    ratios = [float(c[0][2]) for c in b.record_all(*_on_grid(grid), claims)]
     return b.done(
         ratio_inf=min(ratios),
         ratio_sup=max(ratios),
-        lower_bound=lo_bound,
-        upper_bound=hi_bound,
+        lower_bound=(n - 2) / (n - 1),
+        upper_bound=n / (n + 1),
     )
 
 
@@ -231,19 +394,36 @@ class FParams:
 
 
 def _f_derivative(n: int, omega, k: int, lookup):
-    """Exact k-th derivative of F via the Leibniz rule; returns (value, err).
+    """Exact k-th derivative of F via the Leibniz rule; (value, err, size).
 
     ``lookup(m)`` gives psi2^(m) with ``.value`` and ``.error``: one point's
-    EvalResult in the check, psi2_grid arrays over a whole grid in figures.
+    30-digit values or psi2_grid arrays over a whole grid.  ``size`` sums
+    the magnitudes of the binomially weighted products, which the rounding
+    of the sum acts on.
     """
-    total = err = 0
+    total = err = size = 0
     for j in range(k + 1):
         c = math.comb(k, j)
         a1, a2 = lookup(n + j), lookup(n + k - j)
         b1, b2 = lookup(n - 1 + j), lookup(n + 1 + k - j)
-        total += c * (a1.value * a2.value - omega * b1.value * b2.value)
+        p, q = a1.value * a2.value, omega * b1.value * b2.value
+        total += c * (p - q)
         err += c * (_prod_err(a1, a2) + abs(omega) * _prod_err(b1, b2))
-    return total, err
+        size += c * (abs(p) + abs(q))
+    return total, err, size
+
+
+def _f_claims(n, omega, depth, patterns, at):
+    omega = at.const(omega)
+    claims = []
+    for k in range(depth + 1):
+        val, err, size = _f_derivative(n, omega, k, at)
+        # Up to five roundings in each Leibniz term (omega itself rounded
+        # once) and k + 1 in their sum.
+        err = err + at.unit * (k + 6) * size
+        for sgn, name in patterns:
+            claims.append(([k], f"{name},k={k}", (-1) ** k * sgn * val, 0.0, err))
+    return claims
 
 
 def check_F_cm(params: FParams, grid: Grid) -> CheckReport:
@@ -270,16 +450,11 @@ def check_F_cm(params: FParams, grid: Grid) -> CheckReport:
             "gap": in_gap,
         },
     )
+    b.record_all(*_on_grid(grid), partial(_f_claims, n, omega, depth, patterns))
     first_failure = {}
-    for x in grid.points():
-        for k in range(depth + 1):
-            val, err = _f_derivative(n, omega, k, lambda m: _v(m, x))
-            for sgn, name in patterns:
-                signed = mpf(-1) ** k * sgn * val
-                before = len(b.report.counterexamples)
-                b.record([float(x), k], signed, 0.0, err, label=f"{name},k={k}")
-                if len(b.report.counterexamples) > before and name not in first_failure:
-                    first_failure[name] = {"x": float(x), "k": k}
+    for c in b.report.counterexamples:
+        x, k = c["point"]
+        first_failure.setdefault(c["label"].split(",")[0], {"x": x, "k": k})
     return b.done(
         gap_interval=[float(lo_c), float(hi_c)],
         first_failure=first_failure,
@@ -350,6 +525,35 @@ def _triangle_pairs(m: float, samples: int, seed: int):
     return pairs
 
 
+def _subadditivity_claims(s, subadditive, at):
+    """Deficit psi2^(s)(x1+x2) - psi2^(s)(x1) - psi2^(s)(x2) against 0 and
+    against its midpoint value, at (x1, x2, x1+x2, m, m/2)."""
+    p1, p2, whole, at_m, at_half = (at(s, i) for i in range(5))
+    deficit = whole.value - (p1.value + p2.value)
+    err = whole.error + p1.error + p2.error
+    bound = at_m.value - 2 * at_half.value
+    size = abs(whole.value) + abs(p1.value) + abs(p2.value)
+    # Two roundings in the deficit, one in the bound, one in the margin.
+    plain_err = err + at.unit * 2 * size
+    sharp_err = (
+        err
+        + at_m.error
+        + 2 * at_half.error
+        + at.unit * 3 * (size + abs(at_m.value) + 2 * abs(at_half.value))
+    )
+    if subadditive:
+        return [([], "plain", 0.0, deficit, plain_err),
+                ([], "sharp", bound, deficit, sharp_err)]
+    return [([], "plain", deficit, 0.0, plain_err),
+            ([], "sharp", deficit, bound, sharp_err)]
+
+
+def _midpoint_claims(s, subadditive, at):
+    # At x1 = x2 = m/2 the sharp claim is an equality: its margin is zero.
+    _, _, lhs, rhs, err = _subadditivity_claims(s, subadditive, at)[1]
+    return [([], "midpoint", lhs, rhs, err)]
+
+
 def check_subadditivity(params: SubAddParams) -> CheckReport:
     """Strict sub-/superadditivity of psi2^(n+r) on the bounded triangle.
 
@@ -373,38 +577,21 @@ def check_subadditivity(params: SubAddParams) -> CheckReport:
             "mode": "subadditive" if subadditive else "superadditive",
         },
     )
-    at_m = _v(s, m)
-    at_half = _v(s, m / 2)
-    bound = at_m.value - 2 * at_half.value
-    bound_err = at_m.error + 2 * at_half.error
-
     pairs = _triangle_pairs(float(m), params.samples, params.seed)
-    for x1, x2 in pairs:
-        whole, p1, p2 = _v(s, x1 + x2), _v(s, x1), _v(s, x2)
-        deficit = whole.value - p1.value - p2.value
-        err = whole.error + p1.error + p2.error
-        if subadditive:
-            b.record([float(x1), float(x2)], 0.0, deficit, err, label="plain")
-            b.record(
-                [float(x1), float(x2)], bound, deficit, err + bound_err, label="sharp"
-            )
-        else:
-            b.record([float(x1), float(x2)], deficit, 0.0, err, label="plain")
-            b.record(
-                [float(x1), float(x2)], deficit, bound, err + bound_err, label="sharp"
-            )
-    # Midpoint attainment: equality, so the sharp margin is exactly zero.
-    mid = _v(s, m / 2)
-    mid_deficit = at_m.value - 2 * mid.value
-    b.record(
-        [float(m / 2), float(m / 2)],
-        bound if subadditive else mid_deficit,
-        mid_deficit if subadditive else bound,
-        at_m.error + 4 * mid.error,
-        strict=False,
-        label="midpoint",
+    b.record_all(
+        [[float(x1), float(x2)] for x1, x2 in pairs],
+        [(x1, x2, x1 + x2, m, m / 2) for x1, x2 in pairs],
+        partial(_subadditivity_claims, s, subadditive),
     )
-    return b.done(sharp_bound=float(bound))
+    # Midpoint attainment: equality, so the sharp margin is exactly zero.
+    half = m / 2
+    [[(_, _, lhs, rhs, _)]] = b.record_all(
+        [[float(half), float(half)]],
+        [(half, half, m, m, half)],
+        partial(_midpoint_claims, s, subadditive),
+        strict=False,
+    )
+    return b.done(sharp_bound=float(lhs if subadditive else rhs))
 
 
 @dataclass(frozen=True)
@@ -419,6 +606,48 @@ class GParams:
             raise DomainError("G check requires n >= 3")
         if self.r == 0:
             raise DomainError("r must be non-zero")
+
+
+def _g_second(n, r, at):
+    """G_n''(x; r) and its error: r u^(r-2) [(r-1) (psi2^(n+1))^2 +
+    psi2^(n) psi2^(n+2)], u = (-1)^(n+1) psi2^(n) > 0."""
+    r = at.const(r)
+    f0, f1, f2 = at(n), at(n + 1), at(n + 2)
+    u = (-1) ** (n + 1) * f0.value
+    a, c = (r - 1) * f1.value**2, f0.value * f2.value
+    inner = a + c
+    # r u^r / u^2 is r u^(r-2) without rounding the exponent r - 2: one
+    # power, one square, a quotient and a product, and u's own error.
+    scale = r * u**r / (u * u)
+    scale_rel = abs(r - 2) * f0.error / u + 5 * at.unit
+    inner_err = (
+        abs(r - 1) * _prod_err(f1, f1)
+        + _prod_err(f0, f2)
+        + at.unit * 4 * (abs(a) + abs(c))
+    )
+    second = scale * inner
+    err = abs(scale) * inner_err + abs(second) * (scale_rel + at.unit)
+    return second, err
+
+
+def _g_pair_claims(n, r, sub, at):
+    """G(x1) + G(x2) against G(x1+x2), at (x1, x2, x1+x2)."""
+    r = at.const(r)
+    sign = (-1) ** (n + 1)
+    g1, g2, g12 = at(n, 0), at(n, 1), at(n, 2)
+    p1, p2, p12 = ((sign * g.value) ** r for g in (g1, g2, g12))
+    lhs, rhs = p1 + p2, p12
+    # d(g^r) = r g^r dg / g; each power rounds up to twice, then the sum and
+    # the margin once each.
+    err = (
+        1e-18 * (abs(lhs) + abs(rhs))
+        + abs(r) * (p1 * g1.error / abs(g1.value) + p2 * g2.error / abs(g2.value)
+                    + p12 * g12.error / abs(g12.value))
+        + at.unit * 4 * (lhs + rhs)
+    )
+    if sub:
+        return [([], "additive", rhs, lhs, err)]
+    return [([], "additive", lhs, rhs, err)]
 
 
 def check_G_convexity(params: GParams, grid: Grid) -> CheckReport:
@@ -445,36 +674,29 @@ def check_G_convexity(params: GParams, grid: Grid) -> CheckReport:
         "G-convexity",
         {"n": n, "r": float(r), "grid": asdict(grid), "expected": expected},
     )
-    signs = []
-    for x in grid.points():
-        f0, f1, f2 = _v(n, x), _v(n + 1, x), _v(n + 2, x)
-        u = mpf(-1) ** (n + 1) * f0.value
-        inner = (r - 1) * f1.value ** 2 + f0.value * f2.value
-        second = r * u ** (r - 2) * inner
-        err = abs(float(r * u ** (r - 2))) * (
-            2 * abs(float(r - 1)) * abs(float(f1.value)) * f1.error
-            + _prod_err(f0, f2)
-        )
-        signs.append(float(mp.sign(second)))
-        if expected == "convex":
-            b.record([float(x)], second, 0.0, err, label="G''>0")
-        elif expected == "concave":
-            b.record([float(x)], 0.0, second, err, label="G''<0")
+
+    def claims(at):
+        second, err = _g_second(n, r, at)
+        if expected == "concave":
+            return [([], "G''<0", 0.0, second, err)]
+        return [([], "G''>0", second, 0.0, err)]
+
+    # In the gap nothing is asserted, but the signs are still read at 30
+    # digits wherever float64 cannot tell them.
+    found = b.record_all(*_on_grid(grid), claims, recorded=expected != "unasserted")
+    seconds = [c[0][3] if expected == "concave" else c[0][2] for c in found]
+    signs = [float((g > 0) - (g < 0)) for g in seconds]
 
     pair_note = None
     if expected in ("convex", "concave") and (r < lo_gap or hi_gap < r < 0):
         sub = r < lo_gap  # G(x)+G(y) < G(x+y) below the gap
         hi_pair = min(grid.hi, 4.0)
-        for x1, x2 in _triangle_pairs(2 * hi_pair, G_PAIR_SAMPLES, seed=1):
-            g1 = mpf(-1) ** (n + 1) * _v(n, x1).value
-            g2 = mpf(-1) ** (n + 1) * _v(n, x2).value
-            g12 = mpf(-1) ** (n + 1) * _v(n, x1 + x2).value
-            lhs, rhs = g1 ** r + g2 ** r, g12 ** r
-            err = 1e-18 * float(abs(lhs) + abs(rhs))
-            if sub:
-                b.record([float(x1), float(x2)], rhs, lhs, err, label="additive")
-            else:
-                b.record([float(x1), float(x2)], lhs, rhs, err, label="additive")
+        pairs = _triangle_pairs(2 * hi_pair, G_PAIR_SAMPLES, seed=1)
+        b.record_all(
+            [[float(x1), float(x2)] for x1, x2 in pairs],
+            [(x1, x2, x1 + x2) for x1, x2 in pairs],
+            partial(_g_pair_claims, n, r, sub),
+        )
         pair_note = "subadditive" if sub else "superadditive"
     return b.done(
         expected=expected,
@@ -573,11 +795,26 @@ def check_hankel_cm(params: HankelParams, depth: int, grid: Grid) -> CheckReport
     return b.done(condition_estimate=worst_cond)
 
 
-def _series_sum(q: int, x) -> mpf:
-    """S_q(x) = sum (k+1)/(x+k)^q through the canonical series engine."""
-    if q < 3:
-        raise DomainError("series engine covers q >= 3 (order q-1 >= 2)")
-    return abs(psi2_series(PolyDoubleArg(q - 1, x)).value) / mp.factorial(q - 1)
+def _cauchy_schwarz_claims(n, const, at):
+    """S_{n+1}^2 against S_n S_{n+2} and against const S_n S_{n+2}, with
+    S_q = |psi2^(q-1)| / (q-1)! = sum (k+1)/(x+k)^q."""
+
+    def series_sum(q):
+        v, fact = at(q - 1), at.const(mp.factorial(q - 1))
+        return _Value(abs(v.value) / fact, v.error / fact)
+
+    sn, sm, sp = series_sum(n), series_sum(n + 1), series_sum(n + 2)
+    lhs, rhs = sm.value**2, sn.value * sp.value
+    # Each S_q is one quotient by a rounded factorial; then a square or a
+    # product, the constant's product and rounding, and the margin.
+    err = (
+        1e-18 * (lhs + rhs)
+        + _prod_err(sm, sm)
+        + _prod_err(sn, sp)
+        + at.unit * 8 * (lhs + rhs)
+    )
+    return [([], "direct", rhs, lhs, err),
+            ([], "reversed", lhs, at.const(const) * rhs, err)]
 
 
 def check_cauchy_schwarz(n: int, grid: Grid) -> CheckReport:
@@ -588,13 +825,7 @@ def check_cauchy_schwarz(n: int, grid: Grid) -> CheckReport:
     const = mpf(n * n - n - 2) / (n * n - n)
     b = _ReportBuilder("cauchy-schwarz", {"n": n, "grid": asdict(grid),
                                           "constant": float(const)})
-    for x in grid.points():
-        sn, sm, sp = _series_sum(n, x), _series_sum(n + 1, x), _series_sum(n + 2, x)
-        lhs = sm ** 2
-        rhs = sn * sp
-        err = 1e-18 * float(abs(lhs) + abs(rhs))
-        b.record([float(x)], rhs, lhs, err, label="direct")
-        b.record([float(x)], lhs, const * rhs, err, label="reversed")
+    b.record_all(*_on_grid(grid), partial(_cauchy_schwarz_claims, n, const))
     return b.done()
 
 

@@ -43,6 +43,13 @@ class TestExitCodes:
         assert main(["check", "--id", "turan", "--n", "2",
                      "--grid-count", "10"]) == 0
 
+    @pytest.mark.parametrize("n", ["40", "70"])
+    def test_ratio_bounds_high_order(self, n, capsys):
+        # n = 40 once read counterexamples against bounds rounded to doubles,
+        # and n = 70 divided by a product that underflowed a double.
+        assert main(["check", "--id", "ratio-bounds", "--n", n]) == 0
+        assert capsys.readouterr().out.startswith("[PASS]")
+
     def test_audit_always_zero(self, capsys):
         assert main(["audit"]) == 0
 

@@ -3,9 +3,13 @@
 import json
 import math
 from dataclasses import asdict
+from functools import partial
+from unittest import mock
 
+import numpy as np
 import pytest
-from mpmath import mpf
+from hypothesis import HealthCheck, given, settings, strategies as st
+from mpmath import mp, mpf
 
 from polydgamma import (
     CheckReport,
@@ -27,11 +31,13 @@ from polydgamma import (
     check_turan,
     lemma_I1_value,
 )
+from polydgamma import verify
 from polydgamma.verify import (
     _det_with_condition,
     _hankel_matrix,
     _lagrange_brute_force,
     _ReportBuilder,
+    _Value,
 )
 
 SMALL = Grid(0.1, 10.0, 20, "log")
@@ -145,6 +151,11 @@ class TestSubadditivity:
         mid = [w for w in r.witnesses if w["label"] == "midpoint"]
         assert len(mid) == 1 and mid[0]["status"] == "equality"
         assert abs(mid[0]["margin"]) < 1e-12
+
+    def test_no_sample_pair_leaves_the_midpoint(self):
+        # The single sample of seed 1 lies on the triangle's edge and is dropped.
+        r = check_subadditivity(SubAddParams(2, 0, 1.0, 1, 1))
+        assert r.passed and [w["label"] for w in r.witnesses] == ["midpoint"]
 
     def test_deterministic(self):
         a = check_subadditivity(SubAddParams(2, 1, 2.0, 60, 7))
@@ -282,3 +293,174 @@ class TestAudit:
 
     def test_deterministic(self):
         assert audit_identities() == audit_identities()
+
+
+def _statuses(report):
+    return [(e["point"], e.get("label"), e["status"])
+            for e in report.witnesses + report.counterexamples]
+
+
+class _NothingFits(verify._FloatLookup):
+    """Float tier that decides no point: every point goes to 30 digits."""
+
+    def __init__(self, args):
+        super().__init__(args)
+        self.unfit[:] = True
+
+
+def _thirty_digit_only(check, *args):
+    with mock.patch.object(verify, "_FloatLookup", _NothingFits):
+        return check(*args)
+
+
+_EXPONENTS = st.floats(min_value=-3.0, max_value=1.5)
+_SPANS = st.floats(min_value=0.05, max_value=4.0)
+
+
+def _grid(lo_exp, span, count, spacing):
+    lo = 10.0**lo_exp
+    return Grid(lo, lo * 10.0**span, count, spacing)
+
+
+_TIER_SETTINGS = settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestFloatTier:
+    """The float64 tier decides a point only where its status is the one the
+    30-digit tier reaches; its error covers its own arithmetic's rounding."""
+
+    @_TIER_SETTINGS
+    @given(st.integers(2, 60), st.integers(0, 4), _EXPONENTS, _SPANS,
+           st.integers(2, 8), st.sampled_from(["log", "linear"]))
+    def test_cm_tiers_agree(self, n, depth, lo_exp, span, count, spacing):
+        grid = _grid(lo_exp, span, count, spacing)
+        mixed = check_cm(n, depth, grid)
+        exact = _thirty_digit_only(check_cm, n, depth, grid)
+        assert _statuses(mixed) == _statuses(exact)
+        assert exact.summary["escalated"] == count
+
+    @_TIER_SETTINGS
+    @given(st.integers(2, 60), _EXPONENTS, _SPANS, st.integers(2, 8),
+           st.sampled_from(["log", "linear"]))
+    def test_turan_tiers_agree(self, n, lo_exp, span, count, spacing):
+        grid = _grid(lo_exp, span, count, spacing)
+        assert _statuses(check_turan(n, grid)) == _statuses(
+            _thirty_digit_only(check_turan, n, grid)
+        )
+
+    @_TIER_SETTINGS
+    @given(st.integers(3, 80), _EXPONENTS, st.floats(0.05, 6.0), st.integers(2, 8),
+           st.sampled_from(["log", "linear"]))
+    def test_ratio_bounds_tiers_agree(self, n, lo_exp, span, count, spacing):
+        grid = _grid(lo_exp, span, count, spacing)
+        mixed = check_ratio_bounds(n, grid)
+        exact = _thirty_digit_only(check_ratio_bounds, n, grid)
+        assert _statuses(mixed) == _statuses(exact)
+        assert mixed.passed
+
+    @_TIER_SETTINGS
+    @given(st.integers(2, 20), st.integers(0, 3), st.floats(-1.0, 1.5),
+           st.integers(1, 12), st.integers(0, 20))
+    def test_subadditivity_tiers_agree(self, n, r, m_exp, samples, seed):
+        params = SubAddParams(n, r, 10.0**m_exp, samples, seed)
+        mixed = check_subadditivity(params)
+        exact = _thirty_digit_only(check_subadditivity, params)
+        assert _statuses(mixed) == _statuses(exact)
+        assert mixed.summary["sharp_bound"] == exact.summary["sharp_bound"]
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(3, 8), st.floats(0.0, 1.0), st.integers(0, 4), _EXPONENTS,
+           _SPANS, st.integers(2, 6))
+    def test_F_cm_tiers_agree(self, n, omega, depth, lo_exp, span, count):
+        params, grid = FParams(n, omega, depth), _grid(lo_exp, span, count, "log")
+        mixed = check_F_cm(params, grid)
+        exact = _thirty_digit_only(check_F_cm, params, grid)
+        assert _statuses(mixed) == _statuses(exact)
+        assert mixed.summary["first_failure"] == exact.summary["first_failure"]
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(3, 12), st.floats(-2.0, 2.0).filter(lambda r: r != 0),
+           _EXPONENTS, _SPANS, st.integers(2, 6))
+    def test_G_convexity_tiers_agree(self, n, r, lo_exp, span, count):
+        params, grid = GParams(n, r), _grid(lo_exp, span, count, "log")
+        mixed = check_G_convexity(params, grid)
+        exact = _thirty_digit_only(check_G_convexity, params, grid)
+        assert _statuses(mixed) == _statuses(exact)
+        assert mixed.summary["observed_signs"] == exact.summary["observed_signs"]
+
+    def test_default_grids_decide_in_float64(self):
+        # Only the midpoint equality, whose margin is zero, is recomputed.
+        assert check_cm(3, 5, Grid(0.05, 50.0, 40, "log")).summary["escalated"] == 0
+        assert check_ratio_bounds(4, Grid(0.05, 1e4, 40, "log")).summary["escalated"] == 0
+        r = check_subadditivity(SubAddParams(2, 1, 2.0, 80, 0))
+        assert r.summary["escalated"] == 1
+
+    def test_values_beyond_a_double_escalate(self):
+        r = check_cm(3, 2, Grid(1e-300, 50.0, 3, "log"))
+        assert r.summary["escalated"] == 2  # 1e-300 and 7e-150; 50 decides
+        assert check_turan(171, Grid(0.05, 4.0, 3, "linear")).summary["escalated"] == 3
+
+    def test_ratio_bounds_exact_rational_bounds(self):
+        # The doubles nearest n/(n+1) sat below it: at x -> 0 the ratio
+        # reached them and read as counterexamples at -2e-17.
+        for n in (16, 40, 70):
+            r = check_ratio_bounds(n, Grid(0.05, 1e4, 60, "log"))
+            assert r.passed and len(r.witnesses) == 120
+
+
+class _ExactDoubles:
+    """Lookup over given doubles with no value error, in float64 arrays
+    (``exact=False``) or as mpf at one point (``exact=True``)."""
+
+    def __init__(self, values, point=None):
+        self.values, self.point = values, point
+        self.unit = verify._FloatLookup.unit if point is None else 0
+        self.const = float if point is None else (lambda c: c)
+
+    def __call__(self, m, i=0):
+        v = self.values[m, i]
+        if self.point is None:
+            return _Value(v, np.zeros_like(v))
+        return _Value(mpf(v[self.point]), 0)
+
+
+_CLAIMS = {
+    "turan": partial(verify._turan_claims, 3),
+    "ratio-bounds": partial(verify._ratio_claims, 5, mpf(3) / 4, mpf(5) / 6),
+    "F-cm": partial(verify._f_claims, 3, mpf(3) / 4, 4, [(1, "F"), (-1, "-F")]),
+    "subadditivity": partial(verify._subadditivity_claims, 3, True),
+    "G-convexity": lambda at: [
+        ([], "G", second, 0.0, err)
+        for second, err in [verify._g_second(4, mpf("-0.3"), at)]
+    ],
+    "G-additive": partial(verify._g_pair_claims, 3, mpf("-0.6"), True),
+    "cauchy-schwarz": partial(verify._cauchy_schwarz_claims, 4, mpf(10) / 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLAIMS))
+def test_float_error_covers_own_rounding(name):
+    """With exact inputs, the float margins stay within their errors of the
+    same arithmetic done at 50 digits."""
+    claims = _CLAIMS[name]
+    rng = np.random.default_rng(7)
+    size = 200
+    values = {
+        (m, i): (-1.0) ** (m + 1) * np.exp(rng.uniform(-2.0, 2.0, size))
+        for m in range(2, 12) for i in range(5)
+    }
+    floats = claims(_ExactDoubles(values))
+    worst = 0.0
+    for p in range(size):
+        with mp.workdps(50):
+            exact = claims(_ExactDoubles(values, p))
+            for (_, _, lhs, rhs, err), (_, _, xl, xr, _) in zip(floats, exact):
+                lhs_p, rhs_p, err_p = (float(verify._item(a, p)) for a in (lhs, rhs, err))
+                miss = abs(mpf(lhs_p) - mpf(rhs_p) - (xl - xr))
+                assert miss <= err_p, (name, p)
+                worst = max(worst, float(miss))
+    assert worst > 0  # the float arithmetic did round
