@@ -218,7 +218,8 @@ class _ReportBuilder:
 
         ``strict=False`` marks claims where equality is admissible (so an
         in-gate margin is expected, not a near-miss).  The verdict reads the
-        margin at working precision; the entry's floats may overflow.
+        margin in the arithmetic that computed it (float64, or 30 digits
+        where the entry's floats may overflow).
         """
         margin = lhs - rhs
         gate = STRICTNESS_FACTOR * max(float(err), 0.0)
