@@ -2,11 +2,10 @@
 derivatives of the Barnes G (double gamma) function, machine verification of
 their monotonicity/inequality theory, and an audit of printed identities."""
 
-from .errors import CapacityError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .polydg import (
     AsymptoticParams,
     PolyDoubleArg,
-    Psi2Kernel,
     log_barnes_g,
     psi2_asymptotic,
     psi2_cached,
@@ -17,21 +16,7 @@ from .polydg import (
     psi2_series,
     psi2_zeta_form,
 )
-from .quadrature import (
-    IntegrandSpec,
-    QuadratureResult,
-    integrate_finite,
-    integrate_semi_infinite,
-)
-from .specfun import (
-    BERNOULLI,
-    CONSTANTS,
-    EvalResult,
-    bernoulli,
-    hurwitz_zeta,
-    log_gamma,
-    polygamma,
-)
+from .specfun import EvalResult, hurwitz_zeta, log_gamma, polygamma
 from .verify import (
     AuditEntry,
     CheckReport,
@@ -56,9 +41,6 @@ from .verify import (
 __all__ = [
     "AsymptoticParams",
     "AuditEntry",
-    "BERNOULLI",
-    "CONSTANTS",
-    "CapacityError",
     "CheckReport",
     "ConvergenceError",
     "DomainError",
@@ -67,13 +49,9 @@ __all__ = [
     "GParams",
     "Grid",
     "HankelParams",
-    "IntegrandSpec",
     "PolyDoubleArg",
-    "Psi2Kernel",
-    "QuadratureResult",
     "SubAddParams",
     "audit_identities",
-    "bernoulli",
     "check_F_cm",
     "check_G_convexity",
     "check_cauchy_schwarz",
@@ -84,8 +62,6 @@ __all__ = [
     "check_subadditivity",
     "check_turan",
     "hurwitz_zeta",
-    "integrate_finite",
-    "integrate_semi_infinite",
     "lemma_I1_value",
     "log_barnes_g",
     "log_gamma",

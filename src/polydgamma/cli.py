@@ -16,7 +16,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from . import verify
-from .errors import CapacityError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .polydg import (
     PolyDoubleArg,
     psi2_cached,
@@ -374,11 +374,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("human", "json")):
-        p.add_argument("--tol", type=_finite_float, default=1e-10)
-        p.add_argument("--format", choices=formats, default=formats[0])
+    def common(p):
+        p.add_argument("--format", choices=("human", "json"), default="human")
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=0)
 
     p_eval = sub.add_parser("eval", help="evaluate psi2^(n)(x) or psi2(x)")
     p_eval.add_argument("--n", type=int, default=None)
@@ -415,6 +413,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--grid-hi", type=_finite_float, default=None)
     p_check.add_argument("--grid-count", type=int, default=None)
     p_check.add_argument("--grid-spacing", choices=("linear", "log"), default=None)
+    p_check.add_argument("--tol", type=_finite_float, default=1e-10,
+                         help="quadrature tolerance for lemma-I1")
+    p_check.add_argument("--seed", type=int, default=0,
+                         help="sample seed for subadditivity")
     common(p_check)
     p_check.set_defaults(func=run_check)
 
@@ -424,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure", help="emit figure data as CSV")
     p_fig.add_argument("--id", type=int, required=True, choices=range(1, 7))
-    common(p_fig, formats=("csv",))
+    p_fig.add_argument("--out", default=None)
     p_fig.set_defaults(func=run_figure)
 
     p_lim = sub.add_parser("limit", help="scaled large-x limit diagnostic")
@@ -444,7 +446,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (DomainError, CapacityError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"usage: see `polydg {args.command} --help`", file=sys.stderr)
         return 2

@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class CapacityError(IndexError):
-    """A fixed-capacity table (e.g. cached Bernoulli numbers) was exceeded."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative scheme failed to reach the requested tolerance.
 

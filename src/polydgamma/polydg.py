@@ -76,30 +76,15 @@ class AsymptoticParams:
     include_remainder: bool = True
 
     def __post_init__(self):
-        if not 1 <= self.terms <= BERNOULLI.capacity // 2:
+        # N blocks read B_0..B_2N+2.
+        if not 1 <= self.terms <= len(BERNOULLI) // 2 - 1:
             raise DomainError("terms must fit the Bernoulli table capacity")
 
 
-@dataclass(frozen=True)
-class Psi2Kernel:
-    """Laplace density t^n / (1 - exp(-t))^2 of (-1)^(n+1) psi2^(n)."""
-
-    n: int
-
-    def density(self, t):
-        t = mpf(t)
-        if t <= 0:
-            raise DomainError("kernel density is defined for t > 0")
-        em = -mp.expm1(-t)  # 1 - exp(-t), no cancellation near 0
-        return t ** self.n / (em * em)
-
-    def damped(self, x):
-        x = mpf(x)
-
-        def evaluate(t):
-            return mp.exp(-x * t) * self.density(t)
-
-        return evaluate
+def _kernel_density(n: int, t):
+    """Laplace density t^n / (1 - exp(-t))^2 of (-1)^(n+1) psi2^(n), t > 0."""
+    em = -mp.expm1(-t)  # 1 - exp(-t), no cancellation near 0
+    return t ** n / (em * em)
 
 
 def psi2_series(arg: PolyDoubleArg) -> EvalResult:
@@ -157,10 +142,11 @@ def psi2_zeta_form(arg: PolyDoubleArg) -> EvalResult:
 def psi2_integral(arg: PolyDoubleArg, tol: float = 1e-10) -> EvalResult:
     """Quadrature of the Laplace representation with the positive kernel."""
     n, x = arg.n, arg.x
-    kernel = Psi2Kernel(n)
-    spec = IntegrandSpec(
-        evaluate=kernel.damped(x), decay_rate=float(x), origin_order=n - 2
-    )
+
+    def evaluate(t):
+        return mp.exp(-x * t) * _kernel_density(n, t)
+
+    spec = IntegrandSpec(evaluate=evaluate, decay_rate=float(x), origin_order=n - 2)
     quad = integrate_semi_infinite(spec, tol)
     value = mpf(-1) ** (n + 1) * quad.value
     return EvalResult(value=value, error=quad.error_estimate, method="integral")
@@ -415,8 +401,6 @@ def psi2_didouble(x) -> EvalResult:
     if x <= 0:
         raise DomainError("psi2_didouble requires x > 0")
     base_part = -CONSTANTS.log_two_pi / 2 + (1 + CONSTANTS.euler_gamma) * x + mpf(1) / 2
-    if x == 1:
-        return EvalResult(value=base_part, error=1e-30, method="series-em")
 
     head_terms = max(16, int(mp.ceil(SHIFT_THRESHOLD + 10 - x)))
     head = mpf(0)
@@ -480,7 +464,7 @@ def log_barnes_g(x) -> EvalResult:
     total, omitted, _ = _smallest_term_sum(
         sum(parts),
         lambda k: BERNOULLI[2 * k + 2] / (4 * k * (k + 1) * z ** (2 * k)),
-        last=BERNOULLI.capacity // 2 - 1,
+        last=len(BERNOULLI) // 2 - 1,
         small=eps / 100 * magnitude,
     )
     err = omitted + len(parts) * magnitude * rounding_unit()

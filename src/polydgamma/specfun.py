@@ -1,7 +1,8 @@
 """Classical special-function layer.
 
-Bernoulli numbers (exact rationals), log-gamma, digamma/polygamma and the
-Hurwitz zeta function, each evaluated with a controlled absolute error.
+Bernoulli numbers (exact rationals, rounded once to mpf), log-gamma,
+digamma/polygamma and the Hurwitz zeta function, each evaluated with a
+controlled absolute error.
 All arithmetic runs through mpmath at a fixed working precision; every
 non-trivial evaluation returns an :class:`EvalResult` carrying an explicit
 error estimate, so downstream code never has to guess how many digits are
@@ -11,12 +12,12 @@ trustworthy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .errors import CapacityError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 
 # Fixed working precision for the whole package.  30 digits leaves ample
 # headroom over the tightest consumer tolerance (1e-12 absolute) even when
@@ -54,9 +55,6 @@ class EvalResult:
     error: float
     method: str
 
-    def __float__(self):
-        return float(self.value)
-
 
 def _bernoulli_fractions(capacity: int) -> tuple:
     # Defining recurrence: sum_{i=0}^{q} C(q+1, i) B_i = 0 for q >= 1.
@@ -69,53 +67,21 @@ def _bernoulli_fractions(capacity: int) -> tuple:
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Bernoulli numbers B_0..B_capacity as exact rationals and as mpf."""
-
-    values: tuple = field(default_factory=tuple)
-    # The same numbers as mpf at working precision, converted once.
-    floats: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        floats = tuple(mpf(v.numerator) / mpf(v.denominator) for v in self.values)
-        object.__setattr__(self, "floats", floats)
-
-    @property
-    def capacity(self) -> int:
-        return len(self.values) - 1
-
-    def exact(self, k: int) -> Fraction:
-        if k < 0:
-            raise DomainError("Bernoulli index must be non-negative")
-        if k > self.capacity:
-            raise CapacityError(
-                f"Bernoulli index {k} exceeds table capacity {self.capacity}"
-            )
-        return self.values[k]
-
-    def __getitem__(self, k: int) -> mpf:
-        self.exact(k)  # raises on a bad index
-        return self.floats[k]
-
-
-BERNOULLI = BernoulliTable(values=_bernoulli_fractions(64))
+# Bernoulli numbers B_0..B_64 as mpf at working precision, converted once;
+# the asymptotic series read B_2k for k up to len(BERNOULLI) // 2.
+BERNOULLI = tuple(
+    mpf(b.numerator) / mpf(b.denominator) for b in _bernoulli_fractions(64)
+)
 
 # Euler-Maclaurin correction weights B_2j / (2j)!, j = 1..14: the most
 # corrections the engine applies before reporting what it has.
 _EM_WEIGHTS = tuple(BERNOULLI[2 * j] / mp.factorial(2 * j) for j in range(1, 15))
 
 
-def bernoulli(k: int) -> mpf:
-    """B_k from the shared table; raises CapacityError beyond capacity."""
-    return BERNOULLI[k]
-
-
 @dataclass(frozen=True)
 class Constants:
     euler_gamma: mpf
     log_two_pi: mpf
-    pi: mpf
     # zeta'(-1) = 1/12 - log A, A being Glaisher's constant: the constant
     # term of Barnes' expansion of log G.
     zeta_prime_minus_one: mpf
@@ -124,7 +90,6 @@ class Constants:
 CONSTANTS = Constants(
     euler_gamma=+mp.euler,
     log_two_pi=mp.log(2 * mp.pi),
-    pi=+mp.pi,
     zeta_prime_minus_one=mpf(1) / 12 - mp.log(mp.glaisher),
 )
 
@@ -199,7 +164,7 @@ def hurwitz_zeta(s: int, a) -> EvalResult:
     )
 
 
-def _smallest_term_sum(total, term, last=BERNOULLI.capacity // 2, small=0):
+def _smallest_term_sum(total, term, last=len(BERNOULLI) // 2, small=0):
     """Add term(1), ..., term(last) of a Bernoulli asymptotic series to ``total``.
 
     Stops before the first term that grows in magnitude (the series diverges

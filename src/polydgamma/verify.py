@@ -36,7 +36,7 @@ from .errors import DomainError
 from .polydg import (
     AsymptoticParams,
     PolyDoubleArg,
-    Psi2Kernel,
+    _kernel_density,
     asymptotic_closed_form,
     asymptotic_remainder,
     psi2_asymptotic,
@@ -292,10 +292,6 @@ class _ReportBuilder:
         return self.report
 
 
-def _v(n, x):
-    return psi2_cached(n, x)
-
-
 def _prod_err(a, b):
     return abs(a.value) * b.error + abs(b.value) * a.error + a.error * b.error
 
@@ -472,12 +468,10 @@ def lemma_I1_value(n: int, a, tol: float = 1e-9):
     a = mpf(a)
     if a <= 0:
         raise DomainError("lemma_I1_value requires a > 0")
-    kernel = Psi2Kernel(n - 1)  # density t^(n-1)/(1-e^-t)^2 == f_n
+    f_n = partial(_kernel_density, n - 1)  # the Laplace density of psi2^(n-1)
 
     def integrand(u):
-        return ((2 * n - 3) * u * u - 1) * kernel.density(
-            a * (1 + u)
-        ) * kernel.density(a * (1 - u))
+        return ((2 * n - 3) * u * u - 1) * f_n(a * (1 + u)) * f_n(a * (1 - u))
 
     return integrate_finite(IntegrandSpec(evaluate=integrand, origin_order=0), 0, 1, tol)
 
@@ -755,7 +749,7 @@ def _hankel_matrix(params: HankelParams, y, row_derivative=None):
         row = []
         for l in range(m + 1):
             order = n + (i + l) * j + (1 if i == row_derivative else 0)
-            row.append(_v(order, y).value)
+            row.append(psi2_cached(order, y).value)
         rows.append(row)
     return rows
 
@@ -1110,7 +1104,7 @@ def audit_identities() -> list:
     # Order-two determinant remark: which squared entry is intended.
     y = mpf(1)
     n2 = 2
-    d0, d1, d2 = _v(n2, y).value, _v(n2 + 1, y).value, _v(n2 + 2, y).value
+    d0, d1, d2 = (psi2_cached(n2 + k, y).value for k in range(3))
     printed = mpf(-1) ** (n2 + 1) * (d0 * d2 - d0 ** 2)
     corrected = d0 * d2 - d1 ** 2
     dev = abs(float(min(printed, mpf(0))))  # positivity violation magnitude

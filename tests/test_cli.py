@@ -50,6 +50,38 @@ class TestExitCodes:
         assert main(["check", "--id", "ratio-bounds", "--n", n]) == 0
         assert capsys.readouterr().out.startswith("[PASS]")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--id", "lemma-I1", "--grid-count", "3"],
+            ["check", "--id", "subadditivity", "--samples", "10"],
+            ["check", "--id", "G-convexity", "--grid-count", "4"],
+            ["check", "--id", "cauchy-schwarz", "--grid-count", "5"],
+        ],
+    )
+    def test_small_single_checks_pass(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("[PASS]")
+
+    def test_eval_requires_order(self, capsys):
+        assert main(["eval", "--x", "1"]) == 2
+        assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--n", "2", "--x", "1", "--seed", "1"],
+            ["audit", "--tol", "1"],
+            ["figure", "--id", "1", "--format", "csv"],
+        ],
+    )
+    def test_options_only_check_reads(self, argv, tmp_path, capsys):
+        # --tol and --seed belong to check alone, and figure writes CSV only.
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_audit_always_zero(self, capsys):
         assert main(["audit"]) == 0
 

@@ -15,7 +15,6 @@ from polydgamma import (
     AsymptoticParams,
     DomainError,
     PolyDoubleArg,
-    Psi2Kernel,
     log_barnes_g,
     log_gamma,
     polygamma,
@@ -28,7 +27,7 @@ from polydgamma import (
     psi2_series,
     psi2_zeta_form,
 )
-from polydgamma.polydg import psi2_grid
+from polydgamma.polydg import _kernel_density, psi2_grid
 
 # Independent 50-digit oracles (frozen).
 PSI2_ORACLE = {
@@ -72,6 +71,12 @@ class TestDomain:
             AsymptoticParams(terms=0)
         with pytest.raises(DomainError):
             AsymptoticParams(terms=1000)
+        # N blocks read B_2N+2, so N = 32 would pass the table's end (B_64).
+        with pytest.raises(DomainError):
+            AsymptoticParams(terms=32)
+        psi2_asymptotic(
+            PolyDoubleArg(2, mpf(15)), AsymptoticParams(terms=31, include_remainder=False)
+        )
 
 
 class TestRoutesAgainstOracles:
@@ -101,6 +106,24 @@ class TestRoutesAgainstOracles:
         n, x = key
         r = psi2_integral(PolyDoubleArg(n, mpf(x)), tol=1e-10)
         assert abs(r.value - mpf(ref)) < 1e-8 * max(1.0, abs(float(mpf(ref))))
+
+    @pytest.mark.parametrize("key,ref", sorted(PSI2_ORACLE.items()))
+    def test_asymptotic_route(self, key, ref):
+        n, x = key
+        r = psi2_eval(PolyDoubleArg(n, mpf(x)), method="asymptotic")
+        assert r.method == "asymptotic"
+        assert abs(r.value - mpf(ref)) <= r.error
+
+    @pytest.mark.parametrize(
+        "n,x", [(2, "1"), (6, "0.3"), (8, "50"), (4, "3000"), (2, "1e4"), (2, "1e6")]
+    )
+    def test_integral_route_error_covers_series(self, n, x):
+        # Far out the integrand's mass lies below about 1/x: the first pass
+        # of the quadrature must resolve it, not read it as zero.
+        arg = PolyDoubleArg(n, mpf(x))
+        r = psi2_eval(arg, method="integral")
+        ref = psi2_series(arg)
+        assert abs(r.value - ref.value) <= r.error + ref.error
 
     def test_auto_route_matches_series_far_out(self):
         for n, x in [(2, 50), (3, 200), (6, 25), (7, 12.5)]:
@@ -159,11 +182,11 @@ class TestStructure:
             assert mp.sign(v) == (-1) ** (n + 1)
 
     def test_kernel_density_positive_and_growing_in_n(self):
-        k3, k4 = Psi2Kernel(3), Psi2Kernel(4)
         for t in (mpf("0.1"), mpf(1), mpf(5)):
-            assert k3.density(t) > 0
+            k3, k4 = _kernel_density(3, t), _kernel_density(4, t)
+            assert k3 > 0
             # t^4 kernel exceeds t^3 kernel iff t > 1
-            assert (k4.density(t) > k3.density(t)) == (t > 1)
+            assert (k4 > k3) == (t > 1)
 
     def test_asymptotic_identity(self):
         for n, x, N in [(2, 2, 3), (3, 10, 4), (5, 1, 6), (4, 0.7, 5)]:

@@ -8,16 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from polydgamma import (
+from polydgamma import DomainError, hurwitz_zeta, log_gamma, polygamma
+from polydgamma.specfun import (
     BERNOULLI,
-    CapacityError,
-    DomainError,
-    bernoulli,
-    hurwitz_zeta,
-    log_gamma,
-    polygamma,
+    WORKING_DPS,
+    _bernoulli_fractions,
+    euler_maclaurin_tail,
+    rounding_unit,
 )
-from polydgamma.specfun import WORKING_DPS, euler_maclaurin_tail, rounding_unit
 
 # Independent 50-digit oracles (frozen).
 ORACLE = {
@@ -43,25 +41,21 @@ class TestBernoulli:
             10: Fraction(5, 66),
             12: Fraction(-691, 2730),
         }
+        exact = _bernoulli_fractions(12)
         for k, v in known.items():
-            assert BERNOULLI.exact(k) == v
+            assert exact[k] == v
+            assert BERNOULLI[k] == mpf(v.numerator) / mpf(v.denominator)
 
     def test_odd_vanish(self):
-        for k in range(3, BERNOULLI.capacity, 2):
-            assert BERNOULLI.exact(k) == 0
-
-    def test_capacity_error(self):
-        with pytest.raises(CapacityError):
-            bernoulli(BERNOULLI.capacity + 2)
-
-    def test_negative_index(self):
-        with pytest.raises(DomainError):
-            BERNOULLI.exact(-1)
+        for k in range(3, len(BERNOULLI), 2):
+            assert BERNOULLI[k] == 0
 
     def test_floats_match_exact_fractions(self):
-        for k in range(BERNOULLI.capacity + 1):
-            frac = BERNOULLI.exact(k)
+        # B_0..B_64, each within two roundings of mpmath's Bernoulli number.
+        assert len(BERNOULLI) == 65
+        for k, frac in enumerate(_bernoulli_fractions(64)):
             assert BERNOULLI[k] == mpf(frac.numerator) / mpf(frac.denominator)
+            assert abs(BERNOULLI[k] - mp.bernoulli(k)) <= 2 * mp.eps * abs(BERNOULLI[k])
 
 
 class TestHurwitzZeta:
