@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 from mpmath import mp, mpf
@@ -77,15 +78,6 @@ def _emit(text, out):
         print(text)
 
 
-def _grid_from(args, lo, hi, count, spacing) -> Grid:
-    return Grid(
-        lo=args.grid_lo if args.grid_lo is not None else lo,
-        hi=args.grid_hi if args.grid_hi is not None else hi,
-        count=args.grid_count if args.grid_count is not None else count,
-        spacing=args.grid_spacing if args.grid_spacing is not None else spacing,
-    )
-
-
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -118,94 +110,96 @@ def run_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_single_check(args):
-    cid = args.id
-    if cid == "cm":
-        n = args.n if args.n is not None else 3
-        grid = _grid_from(args, 0.05, 50.0, 60, "log")
-        return verify.check_cm(n, args.depth if args.depth is not None else 5, grid)
-    if cid == "turan":
-        n = args.n if args.n is not None else 2
-        return verify.check_turan(n, _grid_from(args, 0.05, 4.0, 60, "linear"))
-    if cid == "ratio-bounds":
-        n = args.n if args.n is not None else 4
-        return verify.check_ratio_bounds(n, _grid_from(args, 0.05, 1e4, 60, "log"))
-    if cid == "F-cm":
-        n = args.n if args.n is not None else 3
-        omega = args.omega if args.omega is not None else (n - 2) / (n - 1)
-        depth = args.depth if args.depth is not None else 4
-        return verify.check_F_cm(
-            FParams(n=n, omega=omega, derivative_depth=depth),
-            _grid_from(args, 0.05, 50.0, 30, "log"),
-        )
-    if cid == "lemma-I1":
-        n = args.n if args.n is not None else 3
-        return verify.check_lemma_I1(
-            n, _grid_from(args, 1.01, 1.99, 20, "linear"), tol=args.tol
-        )
-    if cid == "subadditivity":
-        n = args.n if args.n is not None else 2
-        return verify.check_subadditivity(
-            SubAddParams(
-                n=n,
-                r=args.r_order if args.r_order is not None else 1,
-                m=args.m if args.m is not None else 2.0,
-                samples=args.samples,
-                seed=args.seed,
-            )
-        )
-    if cid == "G-convexity":
-        n = args.n if args.n is not None else 3
-        r = args.r if args.r is not None else 1.0
-        return verify.check_G_convexity(
-            GParams(n=n, r=r), _grid_from(args, 0.2, 10.0, 30, "log")
-        )
-    if cid == "hankel":
-        n = args.n if args.n is not None else 2
-        return verify.check_hankel_cm(
-            HankelParams(
-                n=n,
-                j=args.j if args.j is not None else 1,
-                m=args.m_order if args.m_order is not None else 1,
-            ),
-            args.depth if args.depth is not None else 1,
-            _grid_from(args, 0.2, 10.0, 30, "log"),
-        )
-    if cid == "cauchy-schwarz":
-        n = args.n if args.n is not None else 3
-        return verify.check_cauchy_schwarz(n, _grid_from(args, 0.1, 20.0, 40, "log"))
-    raise DomainError(f"unknown check id {cid!r}")
+# Every check id: the verify call it makes, and the default of each option it
+# reads, keyed by the option's argparse dest and stated nowhere else.  "grid"
+# stands for the four --grid-* options, each of which replaces one field of
+# the default grid; a callable default is computed from the values before it.
+CHECKS = {
+    "cm": (verify.check_cm, dict(n=3, depth=5, grid=Grid(0.05, 50.0, 60, "log"))),
+    "turan": (verify.check_turan, dict(n=2, grid=Grid(0.05, 4.0, 60, "linear"))),
+    "ratio-bounds": (
+        verify.check_ratio_bounds, dict(n=4, grid=Grid(0.05, 1e4, 60, "log"))
+    ),
+    "F-cm": (
+        lambda n, omega, depth, grid: verify.check_F_cm(FParams(n, omega, depth), grid),
+        # omega defaults to the lower constant (n-2)/(n-1); the max keeps
+        # n < 2 from dividing by zero before FParams rejects it.
+        dict(n=3, omega=lambda v: (v["n"] - 2) / max(v["n"] - 1, 1), depth=4,
+             grid=Grid(0.05, 50.0, 30, "log")),
+    ),
+    "lemma-I1": (
+        lambda n, grid, tol: verify.check_lemma_I1(n, grid, tol=tol),
+        dict(n=3, grid=Grid(1.01, 1.99, 20, "linear"), tol=1e-10),
+    ),
+    "subadditivity": (
+        lambda n, r_order, m, samples, seed: verify.check_subadditivity(
+            SubAddParams(n, r_order, m, samples, seed)
+        ),
+        dict(n=2, r_order=1, m=2.0, samples=200, seed=0),
+    ),
+    "G-convexity": (
+        lambda n, r, grid: verify.check_G_convexity(GParams(n, r), grid),
+        dict(n=3, r=1.0, grid=Grid(0.2, 10.0, 30, "log")),
+    ),
+    "hankel": (
+        lambda n, j, m_order, depth, grid: verify.check_hankel_cm(
+            HankelParams(n, j, m_order), depth, grid
+        ),
+        dict(n=2, j=1, m_order=1, depth=1, grid=Grid(0.2, 10.0, 30, "log")),
+    ),
+    "cauchy-schwarz": (
+        verify.check_cauchy_schwarz, dict(n=3, grid=Grid(0.1, 20.0, 40, "log"))
+    ),
+}
+
+# The default verification suite, one representative run of every check:
+# each row is a check id and the options it gives over that check's defaults.
+SUITE = (
+    ("cm", dict(grid_count=40)),
+    ("turan", dict(grid_count=40)),
+    ("ratio-bounds", dict(grid_count=40)),
+    ("F-cm", dict(omega=0.25, grid_count=20)),
+    ("F-cm", dict(omega=0.75, grid_count=20)),
+    ("lemma-I1", dict(grid_count=12, tol=1e-9)),
+    ("lemma-I1", dict(n=4, grid_count=12, tol=1e-9)),
+    ("subadditivity", dict(samples=80)),
+    ("subadditivity", dict(r_order=0, samples=80)),
+    ("G-convexity", dict(grid_count=20)),
+    ("G-convexity", dict(r=-0.2, grid_count=20)),
+    ("G-convexity", dict(r=-0.6, grid_count=20)),
+    ("hankel", dict(m_order=2, grid_count=20)),
+    ("hankel", dict(n=3, j=2, grid_count=20)),
+    ("cauchy-schwarz", dict(grid_count=30)),
+)
 
 
-def _suite_all(args):
-    """Default verification suite: one representative run of every check."""
-    reports = [
-        verify.check_cm(3, 5, Grid(0.05, 50.0, 40, "log")),
-        verify.check_turan(2, Grid(0.05, 4.0, 40, "linear")),
-        verify.check_ratio_bounds(4, Grid(0.05, 1e4, 40, "log")),
-        verify.check_F_cm(FParams(3, 0.25, 4), Grid(0.05, 50.0, 20, "log")),
-        verify.check_F_cm(FParams(3, 0.75, 4), Grid(0.05, 50.0, 20, "log")),
-        verify.check_lemma_I1(3, Grid(1.01, 1.99, 12, "linear"), tol=1e-9),
-        verify.check_lemma_I1(4, Grid(1.01, 1.99, 12, "linear"), tol=1e-9),
-        verify.check_subadditivity(SubAddParams(2, 1, 2.0, 80, args.seed)),
-        verify.check_subadditivity(SubAddParams(2, 0, 2.0, 80, args.seed)),
-        verify.check_G_convexity(GParams(3, 1.0), Grid(0.2, 10.0, 20, "log")),
-        verify.check_G_convexity(GParams(3, -0.2), Grid(0.2, 10.0, 20, "log")),
-        verify.check_G_convexity(GParams(3, -0.6), Grid(0.2, 10.0, 20, "log")),
-        verify.check_hankel_cm(HankelParams(2, 1, 2), 1, Grid(0.2, 10.0, 20, "log")),
-        verify.check_hankel_cm(HankelParams(3, 2, 1), 1, Grid(0.2, 10.0, 20, "log")),
-        verify.check_cauchy_schwarz(3, Grid(0.1, 20.0, 30, "log")),
-    ]
-    return reports
+def _run_check(cid, given):
+    """Run check cid with the options in given (dest -> value) over its
+    defaults; given may hold options the check does not read."""
+    call, defaults = CHECKS[cid]
+    values = {}
+    for key, default in defaults.items():
+        if key == "grid":
+            fields = {k[5:]: v for k, v in given.items() if k.startswith("grid_")}
+            values[key] = replace(default, **fields)
+        elif key in given:
+            values[key] = given[key]
+        else:
+            values[key] = default(values) if callable(default) else default
+    return call(**values)
 
 
 def run_check(args) -> int:
+    fixed = ("command", "func", "suite", "id", "format", "out")
+    given = {k: v for k, v in vars(args).items() if v is not None and k not in fixed}
     if args.id:
-        reports = [_run_single_check(args)]
-    elif args.suite == "all":
-        reports = _suite_all(args)
+        name, rows, reads = f"check {args.id}", [(args.id, {})], CHECKS[args.id][1]
     else:
-        raise DomainError(f"unknown suite {args.suite!r}; expected 'all'")
+        name, rows, reads = "check --suite all", SUITE, {"seed"}
+    for dest in given:
+        if ("grid" if dest.startswith("grid_") else dest) not in reads:
+            raise DomainError(f"{name} does not read --{dest.replace('_', '-')}")
+    reports = [_run_check(cid, {**row, **given}) for cid, row in rows]
 
     if args.format == "json":
         payload = [r.to_dict() for r in reports]
@@ -394,8 +388,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=run_eval)
 
     p_check = sub.add_parser("check", help="run theorem checks")
-    p_check.add_argument("--suite", default="all")
-    p_check.add_argument("--id", default=None)
+    which = p_check.add_mutually_exclusive_group()
+    which.add_argument("--suite", choices=("all",), help="the default without --id")
+    which.add_argument("--id", choices=tuple(CHECKS), default=None)
+    # Defaults live in CHECKS; an option the chosen check does not read exits 2.
     p_check.add_argument("--n", type=int, default=None)
     p_check.add_argument("--depth", type=int, default=None)
     p_check.add_argument("--omega", type=_finite_float, default=None)
@@ -408,14 +404,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--j", type=int, default=None, help="Hankel stride")
     p_check.add_argument("--m-order", type=int, default=None,
                          help="Hankel matrix order parameter m")
-    p_check.add_argument("--samples", type=int, default=200)
+    p_check.add_argument("--samples", type=int, default=None)
     p_check.add_argument("--grid-lo", type=_finite_float, default=None)
     p_check.add_argument("--grid-hi", type=_finite_float, default=None)
     p_check.add_argument("--grid-count", type=int, default=None)
     p_check.add_argument("--grid-spacing", choices=("linear", "log"), default=None)
-    p_check.add_argument("--tol", type=_finite_float, default=1e-10,
+    p_check.add_argument("--tol", type=_finite_float, default=None,
                          help="quadrature tolerance for lemma-I1")
-    p_check.add_argument("--seed", type=int, default=0,
+    p_check.add_argument("--seed", type=int, default=None,
                          help="sample seed for subadditivity")
     common(p_check)
     p_check.set_defaults(func=run_check)

@@ -127,7 +127,9 @@ class _Value(NamedTuple):
 # What the float tier adds to each psi2 value's error for the 30-digit tier's
 # own claim, so that a point it decides clears that tier's gate as well:
 # psi2_series claims at most 1.6e-19 relative above its absolute 1e-30 floor
-# (n 2..170, x 0.01..1e4).
+# (n 2..170, x 0.01..1e4) wherever the value fits a double.  Beyond a double
+# the claim need not hold (n = 95, x = 0.01 claims error=inf); the float tier
+# marks such values unfit and leaves their points to the 30-digit tier.
 SERIES_CLAIM_REL = 1e-17
 SERIES_CLAIM_ABS = 2e-30
 

@@ -63,6 +63,40 @@ class TestExitCodes:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("[PASS]")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "all", "--n", "7"],
+            ["--suite", "all", "--grid-count", "2"],
+            ["--id", "cm", "--omega", "5"],
+            ["--id", "cm", "--tol", "1"],
+            ["--id", "turan", "--seed", "2"],
+            ["--id", "ratio-bounds", "--depth", "3"],
+            ["--id", "F-cm", "--samples", "10"],
+            ["--id", "lemma-I1", "--r", "0.5"],
+            ["--id", "subadditivity", "--grid-count", "3"],
+            ["--id", "G-convexity", "--m-order", "2"],
+            ["--id", "hankel", "--tol", "1e-8"],
+            ["--id", "cauchy-schwarz", "--j", "2"],
+        ],
+    )
+    def test_option_check_does_not_read(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["check", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"does not read {argv[2]}" in err.splitlines()[0]
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_F_cm_order_too_low(self, capsys):
+        # The default omega (n-2)/(n-1) once divided by zero at n = 1.
+        assert main(["check", "--id", "F-cm", "--n", "1"]) == 2
+        assert "n >= 3" in capsys.readouterr().err
+
+    def test_unknown_suite(self, capsys):
+        assert main(["check", "--suite", "nope"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_eval_requires_order(self, capsys):
         assert main(["eval", "--x", "1"]) == 2
         assert "--n" in capsys.readouterr().err

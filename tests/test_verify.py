@@ -18,6 +18,7 @@ from polydgamma import (
     GParams,
     Grid,
     HankelParams,
+    PolyDoubleArg,
     SubAddParams,
     audit_identities,
     check_F_cm,
@@ -30,6 +31,7 @@ from polydgamma import (
     check_subadditivity,
     check_turan,
     lemma_I1_value,
+    psi2_series,
 )
 from polydgamma import verify
 from polydgamma.verify import (
@@ -410,6 +412,22 @@ class TestFloatTier:
         for n in (16, 40, 70):
             r = check_ratio_bounds(n, Grid(0.05, 1e4, 60, "log"))
             assert r.passed and len(r.witnesses) == 120
+
+    def test_series_claim_within_float_tier_allowance(self):
+        # The float tier adds SERIES_CLAIM_REL * |value| + SERIES_CLAIM_ABS for
+        # the 30-digit tier's claim; that covers psi2_series wherever the
+        # value fits a double.  The worst claim sits near (144, 39.8).
+        xs = np.geomspace(0.01, 1e4, 30)
+        points = [(n, x) for n in range(2, 171, 2) for x in xs] + [(144, 39.8)]
+        checked = 0
+        for n, x in points:
+            r = psi2_series(PolyDoubleArg(n, mpf(float(x))))
+            if not math.isfinite(float(r.value)):
+                continue
+            checked += 1
+            allowed = verify.SERIES_CLAIM_REL * abs(r.value) + verify.SERIES_CLAIM_ABS
+            assert r.error <= allowed, (n, x)
+        assert checked > len(points) // 2
 
 
 class _ExactDoubles:
