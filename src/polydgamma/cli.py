@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 from mpmath import mp, mpf
@@ -229,17 +229,7 @@ def run_check(args) -> int:
 def run_audit(args) -> int:
     entries = verify.audit_identities()
     if args.format == "json":
-        payload = [
-            {
-                "identity_id": e.identity_id,
-                "anchor": e.anchor,
-                "status": e.status,
-                "max_deviation": e.max_deviation,
-                "note": e.note,
-            }
-            for e in entries
-        ]
-        _emit(_json(payload), args.out)
+        _emit(_json([asdict(e) for e in entries]), args.out)
     else:
         lines = [f"identity audit ({verify.DISCLAIMER})"]
         for e in entries:

@@ -4,14 +4,14 @@ The central object is psi2^(n)(x), n >= 2, defined canonically by the series
 
     psi2^(n)(x) = (-1)^(n+1) n! sum_{k>=0} (1+k) / (x+k)^(n+1),   x > 0,
 
-together with the first logarithmic derivative psi2(x) (its own series) and
+together with the first logarithmic derivative psi2(x) (from digamma) and
 log G(x) itself.  psi2^(n) is evaluated by four independent routes - direct
 series, polygamma combination, Laplace-transform quadrature, and a Bernoulli
 asymptotic expansion with an exact integral remainder - which cross-check
 one another.  The series is canonical: ``auto`` and the cache use it, and
 the other routes are explicit choices that the identity audit also checks.
-The series tails of psi2^(n) and psi2 are summed by the one Euler-Maclaurin
-engine in :mod:`specfun`; log G comes from Barnes' asymptotic expansion.
+The series tail of psi2^(n) is summed by the one Euler-Maclaurin engine in
+:mod:`specfun`; log G comes from Barnes' asymptotic expansion.
 Differentiation in x is closed: d/dx psi2^(n) = psi2^(n+1), so
 derivative-sign questions downstream reduce to direct evaluations.
 """
@@ -389,32 +389,26 @@ def psi2_grid(n: int, x) -> GridResult:
 
 
 def psi2_didouble(x) -> EvalResult:
-    """First logarithmic derivative psi2(x), by its own series:
+    """First logarithmic derivative psi2(x), from digamma.
 
-        -log(2 pi)/2 + (1+gamma) x + 1/2 - sum_{k>=0} (x-1)^2/((k+1)(x+k)).
+    The paper's series -log(2 pi)/2 + (1+gamma) x + 1/2 - sum_{k>=0}
+    (x-1)^2/((k+1)(x+k)) sums to (x-1)(psi(x) + gamma) (DLMF 5.7.6), so
 
-    The summand partial-fractions into (x-1) [1/(t+1) - 1/(t+x)], giving the
-    tail integral and all Euler-Maclaurin corrections in closed form; raw
-    k^-2 decay would otherwise be hopeless at 1e-12.
+        psi2(x) = x + gamma + 1/2 - log(2 pi)/2 - (x-1) psi(x),
+
+    the order-0 case of the polygamma relation of psi2^(n).  The error is
+    |x-1| times digamma's plus the rounding of the five-term sum, counted
+    as in :func:`log_barnes_g`.
     """
     x = mpf(x)
     if x <= 0:
         raise DomainError("psi2_didouble requires x > 0")
-    base_part = -CONSTANTS.log_two_pi / 2 + (1 + CONSTANTS.euler_gamma) * x + mpf(1) / 2
-
-    head_terms = max(16, int(mp.ceil(SHIFT_THRESHOLD + 10 - x)))
-    head = mpf(0)
-    for k in range(head_terms):
-        head += (x - 1) ** 2 / ((k + 1) * (x + k))
-
-    s = x - 1
-    threshold = max(mpf(ABS_TOL) * mpf("1e-8"), mpf(10) ** (-mp.dps - 2))
-    tail, err = euler_maclaurin_tail(
-        [(s, head_terms + 1, 1), (-s, head_terms + x, 1)], threshold
-    )
-    return EvalResult(
-        value=base_part - (head + tail), error=float(err) + 1e-30, method="series-em"
-    )
+    digamma = polygamma(0, x)
+    c = CONSTANTS
+    parts = [x, c.euler_gamma, mpf(1) / 2, -c.log_two_pi / 2, -(x - 1) * digamma.value]
+    magnitude = sum(abs(p) for p in parts)
+    err = abs(x - 1) * digamma.error + len(parts) * magnitude * rounding_unit()
+    return EvalResult(value=sum(parts), error=float(err), method="digamma")
 
 
 def log_barnes_g(x) -> EvalResult:

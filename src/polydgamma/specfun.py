@@ -11,7 +11,9 @@ trustworthy.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,8 +30,8 @@ if mp.dps < WORKING_DPS:
     mp.dps = WORKING_DPS
 
 # Absolute error target of the routes: the integral route's quadrature
-# tolerance, and the scale of the hurwitz_zeta and psi2_didouble stop rules,
-# which end their tails far below it.
+# tolerance, and the scale of the hurwitz_zeta stop rule, which ends its
+# tail far below it.
 ABS_TOL = 1e-12
 # Argument size above which asymptotic expansions and Euler-Maclaurin tails
 # are trusted; smaller arguments are recurrence-shifted past it first.
@@ -98,19 +100,18 @@ def euler_maclaurin_tail(terms, threshold):
     """Sum_{k>=0} sum_i c_i (b_i + k)^(-p_i) by Euler-Maclaurin at k = 0.
 
     ``terms`` lists triples (c_i, b_i, p_i) with b_i > 0 and integer
-    p_i >= 1; the c_i of the p_i = 1 terms must sum to zero, so that their
-    log integrals converge together.  The closed-form integral and the half
-    term are followed by at most 14 corrections B_2j/(2j)! f^(2j-1)(0),
-    which stop once two consecutive ones fall below ``threshold``: the terms
-    can cancel exactly in one correction at isolated arguments.  Returns
-    (value, error), the error being the larger of the last two corrections.
+    p_i >= 2.  The closed-form integral and the half term are followed by
+    at most 14 corrections B_2j/(2j)! f^(2j-1)(0), which stop once two
+    consecutive ones fall below ``threshold``: the terms can cancel exactly
+    in one correction at isolated arguments.  Returns (value, error), the
+    error being the larger of the last two corrections.
     """
     total = mpf(0)
     derivs = []  # per term: [c (p)_q b^(-p-q), p + q, b^-2] at odd q = 1, 3, ...
     for c, b, p in terms:
         b = mpf(b)
         power = b ** (-p)
-        total += -c * mp.log(b) if p == 1 else c * b ** (1 - p) / (p - 1)
+        total += c * b ** (1 - p) / (p - 1)
         total += c * power / 2
         derivs.append([c * p * power / b, p + 1, 1 / (b * b)])
     prev = err = mpf("inf")
@@ -181,9 +182,15 @@ def _polygamma_asymptotic(n: int, y):
     """Large-argument expansion of psi^(n)(y); (value, first omitted term,
     terms added)."""
     if n == 0:
+        # Terms below 10^-(dps+2) of the leading one no longer count; the
+        # first omitted term still bounds the remainder.  Terms are read in
+        # order, so each power of y^-2 is the one before times y^-2.
+        lead = mp.log(y) - 1 / (2 * y)
+        powers = itertools.accumulate(itertools.repeat(1 / (y * y)), operator.mul)
         return _smallest_term_sum(
-            mp.log(y) - 1 / (2 * y),
-            lambda k: -BERNOULLI[2 * k] / (2 * k * y ** (2 * k)),
+            lead,
+            lambda k: -BERNOULLI[2 * k] * next(powers) / (2 * k),
+            small=mpf(10) ** (-mp.dps - 2) * lead,
         )
     total, err, count = _smallest_term_sum(
         mp.factorial(n - 1) / y ** n + mp.factorial(n) / (2 * y ** (n + 1)),

@@ -36,7 +36,9 @@ from .errors import DomainError
 from .polydg import (
     AsymptoticParams,
     PolyDoubleArg,
+    _bernoulli_remainder,
     _kernel_density,
+    asymptotic_bernoulli_sum,
     asymptotic_closed_form,
     asymptotic_remainder,
     psi2_asymptotic,
@@ -99,21 +101,17 @@ class CheckReport:
     check_id: str
     params: dict
     passed: bool
-    tolerance_used: float
     witnesses: list = field(default_factory=list)
     counterexamples: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     header: str = DISCLAIMER
+    tolerance: float = 0.0
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["tolerance"] = d.pop("tolerance_used")
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckReport":
-        d = dict(d)
-        d["tolerance_used"] = d.pop("tolerance")
         return cls(**d)
 
 
@@ -210,9 +208,7 @@ class _ReportBuilder:
     def __init__(self, check_id, params):
         # Verdicts gate margins on STRICTNESS_FACTOR times each point's own
         # error estimate, so no fixed tolerance is ever applied.
-        self.report = CheckReport(
-            check_id=check_id, params=params, passed=True, tolerance_used=0.0
-        )
+        self.report = CheckReport(check_id=check_id, params=params, passed=True)
         self.escalated = 0
 
     def record(self, point, lhs, rhs, err, strict=True, label=None):
@@ -842,31 +838,15 @@ class AuditEntry:
     note: str
 
 
-def _entry(identity_id, anchor, deviation, err, note_ok, note_bad, threshold=None):
+def _entry(identity_id, anchor, deviation, err, note_ok, note_bad):
     deviation = float(deviation)
-    gate = threshold if threshold is not None else 100.0 * max(err, 1e-28)
-    if deviation <= gate:
+    if deviation <= 100.0 * max(err, 1e-28):
         return AuditEntry(identity_id, anchor, "confirmed", deviation, note_ok)
-    assert deviation > 100.0 * max(err, 1e-28)
     return AuditEntry(identity_id, anchor, "discrepancy", deviation, note_bad)
-
-
-def _printed_sigma(n, x, n_blocks):
-    # Printed variant: (2k+n-1)! and x^(2k+n) in place of (2k+n)!, x^(2k+n+1).
-    total = mpf(0)
-    for k in range(1, n_blocks):
-        total += (
-            BERNOULLI[2 * k + 2]
-            * mp.factorial(2 * k + n - 1)
-            / (mp.factorial(2 * k + 2) * x ** (2 * k + n))
-        )
-    return mpf(-1) ** (n + 1) * total
 
 
 def _printed_tau(n, x, n_blocks, tol=1e-10):
     # Printed variant: t^(n-3) weight and Bernoulli sum starting at k = 1.
-    from .polydg import _bernoulli_remainder
-
     def evaluate(t):
         rem = _bernoulli_remainder(t, n_blocks) + BERNOULLI[0]  # re-add k=0
         return t ** (n - 3) * mp.exp(-x * t) * rem
@@ -964,10 +944,9 @@ def audit_identities() -> list:
             "lagrange-expansion",
             "sum over pairs k<j of (k-j)^2 (1+k)(1+j) [(x+k)(x+j)]^(-n-2)",
             abs(brute - moment),
-            1e-11,
+            1e-10,
             "pairwise double sum matches n!^2 (S_n S_{n+2} - S_{n+1}^2)",
             "pairwise double sum disagrees with the moment form",
-            threshold=1e-8,
         )
     )
 
@@ -996,7 +975,9 @@ def audit_identities() -> list:
     ref = psi2_series(PolyDoubleArg(n, x + 1))
     tau = asymptotic_remainder(PolyDoubleArg(n, x), AsymptoticParams(terms=N))
     closed = asymptotic_closed_form(PolyDoubleArg(n, x)).value
-    with_printed = closed + _printed_sigma(n, x, N) + tau.value
+    # The printed block sum is the derived one at order n - 1.
+    sigma_printed, _ = asymptotic_bernoulli_sum(PolyDoubleArg(n - 1, x), N)
+    with_printed = closed + sigma_printed + tau.value
     dev = abs(float(ref.value - with_printed))
     entries.append(
         _entry(
@@ -1011,8 +992,6 @@ def audit_identities() -> list:
     )
 
     # Printed tau: t^(n-3) weight, Bernoulli sum starting at k = 1.
-    from .polydg import asymptotic_bernoulli_sum
-
     sigma_derived, _ = asymptotic_bernoulli_sum(PolyDoubleArg(n, x), N)
     tau_printed, tau_err = _printed_tau(n, x, N)
     with_printed = closed + sigma_derived + tau_printed
@@ -1088,7 +1067,7 @@ def audit_identities() -> list:
         )
     )
 
-    # First-derivative integral formula vs the di-double series.
+    # First-derivative integral formula vs psi2(1).
     didouble_ref = psi2_didouble(1)
     entries.append(
         _entry(
@@ -1106,15 +1085,14 @@ def audit_identities() -> list:
     # Order-two determinant remark: which squared entry is intended.
     y = mpf(1)
     n2 = 2
-    d0, d1, d2 = (psi2_cached(n2 + k, y).value for k in range(3))
+    d0, d2 = psi2_cached(n2, y).value, psi2_cached(n2 + 2, y).value
     printed = mpf(-1) ** (n2 + 1) * (d0 * d2 - d0 ** 2)
-    corrected = d0 * d2 - d1 ** 2
     dev = abs(float(min(printed, mpf(0))))  # positivity violation magnitude
     entries.append(
         _entry(
             "hankel-remark-reading",
             "two-by-two determinant special case",
-            dev if corrected > 0 else float("nan"),
+            dev,
             1e-20,
             "printed two-by-two reading is consistent",
             "printed reading (squaring the base-order entry, with an extra "

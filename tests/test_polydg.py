@@ -216,6 +216,17 @@ class TestDiDouble:
         r = psi2_didouble(mpf(x))
         assert abs(r.value - mpf(ref)) < 1e-18
 
+    @pytest.mark.parametrize("i", range(19))
+    def test_error_covers_barnes_g_reference(self, i):
+        # 19 log-spaced x in [1e-3, 1e12]; the reference is
+        # psi2(x) = 1 + gamma - (log G)'(x) at 60 digits.
+        x = mpf(10) ** (-3 + mpf(15) * i / 18)
+        r = psi2_didouble(x)
+        with mp.workdps(60):
+            ref = 1 + mp.euler - mp.diff(lambda t: mp.log(mp.barnesg(t)), x)
+            assert abs(r.value - ref) <= r.error
+        assert r.error <= 1e-26 * max(1.0, abs(float(r.value)))
+
     def test_second_difference_consistency(self):
         # Central second difference of psi2 approximates psi2^(2).
         x, h = mpf(2), mpf("1e-4")
