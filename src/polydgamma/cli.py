@@ -268,7 +268,10 @@ def run_figure(args) -> int:
     within 5e-14 and figure 6 (-F at omega = 3/4, whose two products cancel
     near x = 0.05) within 3e-10; against 30-digit values the cells differ
     by at most 2e-15, 2e-15, 7e-16, 4e-15 and 1.2e-12 relative.  Figure 4
-    is 200 mpmath quadratures of I_1.
+    is one float64 Gauss-Legendre pass per column by :func:`lemma_I1_grid`,
+    whose claimed errors stay below 6e-13 (below 2e-13 relative; the
+    30-digit quadratures differ by at most 5e-15 relative); a cell claiming
+    more than 1e-9 would be recomputed by the 30-digit :func:`lemma_I1_value`.
     """
     fid = args.id
     out = args.out or f"figure{fid}.csv"
@@ -293,9 +296,16 @@ def run_figure(args) -> int:
     elif fid == 4:
         xs = _linear_points(1.01, 1.99, 100)
         header = ["a", "I1_n3", "I1_n4"]
-        columns = [
-            [verify.lemma_I1_value(n, a).value for a in xs] for n in (3, 4)
-        ]
+        xa = np.array(xs, dtype=np.float64)
+        columns = []
+        for n in (3, 4):
+            value, error = verify.lemma_I1_grid(n, xa)
+            # A cell whose claimed error exceeds lemma_I1_value's default
+            # tolerance is recomputed by it.
+            columns.append([
+                v if e <= 1e-9 else verify.lemma_I1_value(n, a).value
+                for a, v, e in zip(xs, value, error)
+            ])
     elif fid in (5, 6):
         omega, sign = (0.25, 1) if fid == 5 else (0.75, -1)
         xs = _linear_points(0.05, 4.0, 400, open_left=True)

@@ -2,14 +2,19 @@
 
 import csv
 import json
+import sys
 from dataclasses import asdict
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from mpmath import mpf
 
-from polydgamma import CheckReport, psi2_cached
+from polydgamma import CheckReport, psi2_cached, quadrature
 from polydgamma.cli import main
 from polydgamma.verify import _f_derivative
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestExitCodes:
@@ -87,6 +92,24 @@ class TestExitCodes:
         assert f"does not read {argv[2]}" in err.splitlines()[0]
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_lemma_tolerance_must_be_positive(self, tol, capsys):
+        assert main(["check", "--id", "lemma-I1", "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "error: tolerance must be positive"
+
+    def test_lemma_unreachable_tolerance(self, capsys):
+        # No float64 error meets 1e-300, so every point escalates, and the
+        # 30-digit quadrature gives up (sooner with fewer subdivisions).
+        with mock.patch.object(quadrature, "MAX_SUBDIVISIONS", 20):
+            assert main(["check", "--id", "lemma-I1", "--tol", "1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: max subdivisions reached in integrate_finite")
+
+    def test_lemma_default_decides_in_float64(self, capsys):
+        assert main(["check", "--id", "lemma-I1", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["escalated"] == 0
 
     def test_F_cm_order_too_low(self, capsys):
         # The default omega (n-2)/(n-1) once divided by zero at n = 1.
@@ -263,6 +286,17 @@ class TestFigures:
         header, data = self._read(out)
         assert header == ["a", "I1_n3", "I1_n4"]
         assert all(float(r[1]) < 0 and float(r[2]) < 0 for r in data)
+
+    def test_figure4_matches_benchmark_reference(self, tmp_path, capsys):
+        # Reads the stored benchmark reference; writes nothing beside it.
+        sys.path.insert(0, str(REPO / "perfbench"))
+        try:
+            import reference
+        finally:
+            sys.path.remove(str(REPO / "perfbench"))
+        out = tmp_path / "fig4.csv"
+        assert main(["figure", "--id", "4", "--out", str(out)]) == 0
+        assert reference.figure_mismatches(out, reference.figure_reference(4)) == 0
 
     def test_figure1_alternating_columns(self, tmp_path, capsys):
         out = tmp_path / "fig1.csv"

@@ -1,14 +1,20 @@
 """Adaptive quadrature engine: exactness, error-estimate honesty, and the
 semi-infinite tail split, against closed-form integrals."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from polydgamma import DomainError
 from polydgamma.quadrature import (
+    HIGH_ORDER,
+    LOW_ORDER,
     IntegrandSpec,
+    _float_rule,
+    _gauss_rule,
     integrate_finite,
+    integrate_panels,
     integrate_semi_infinite,
 )
 
@@ -61,6 +67,38 @@ class TestFinite:
         tight = integrate_finite(spec, 0, 3, 5e-7)
         assert tight.error_estimate <= max(loose.error_estimate, 5e-7)
         assert tight.evaluations >= loose.evaluations
+
+
+class TestPanels:
+    @pytest.mark.parametrize("order", [LOW_ORDER, HIGH_ORDER])
+    def test_float_rule_is_the_mp_rule_rounded(self, order):
+        x, w = _float_rule(order)
+        with mp.workdps(60):
+            exact = sorted(_gauss_rule(order, 200))
+        assert list(x) == [float(node) for node, _ in exact]
+        assert list(w) == [float(weight) for _, weight in exact]
+
+    def test_polynomial_exactness(self):
+        # t^k for k = 0..29 at once: the 15-point rule is exact, so only the
+        # 7-point rule's miss above degree 13 shows in the error.
+        k = np.arange(30)
+        value, error = integrate_panels(lambda t: t**k, 0.0, 1.0, 2)
+        assert np.all(abs(value - 1 / (k + 1)) <= 4e-16 / (k + 1))
+        assert np.all(error[:14] < 1e-13) and np.all(error[14:] > 1e-13)
+
+    def test_error_covers_truth(self):
+        # int_0^2 e^(c t) dt = (e^(2c) - 1)/c for a family of rates c.
+        c = np.array([-40.0, -3.0, 0.5, 1.0, 7.0, 25.0])
+        for panels in (1, 2, 5):
+            value, error = integrate_panels(lambda t: np.exp(c * t), 0.0, 2.0, panels)
+            exact = [(mp.exp(2 * mpf(ci)) - 1) / ci for ci in c]
+            assert all(abs(v - e) <= err for v, e, err in zip(value, exact, error))
+
+    def test_nan_propagates(self):
+        value, error = integrate_panels(
+            lambda t: np.where(t < 0.5, np.nan, t) * np.ones(2), 0.0, 1.0, 2
+        )
+        assert np.isnan(value).all() and np.isnan(error).all()
 
 
 class TestSemiInfinite:

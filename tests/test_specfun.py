@@ -13,6 +13,7 @@ from polydgamma.specfun import (
     BERNOULLI,
     WORKING_DPS,
     _bernoulli_fractions,
+    _polygamma_asymptotic,
     rounding_unit,
 )
 
@@ -163,6 +164,20 @@ class TestPolygamma:
         r = polygamma(n, x)
         with mp.workdps(60):
             assert abs(r.value - mp.psi(n, x)) <= r.error
+
+    def test_asymptotic_stops_below_working_precision(self):
+        # At y = 1e4 the fifth term of psi^(3)(y) is under 10^-(dps+2) of the
+        # lead; the Bernoulli table holds 32.
+        assert _polygamma_asymptotic(3, mpf(10) ** 4)[2] == 4
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_error_covers_mpmath_psi_log_grid(self, n):
+        # 19 half-decade points in [1e-3, 1e6], every order 1..40.
+        for k in range(19):
+            x = mpf(10) ** (mpf(k) / 2 - 3)
+            r = polygamma(n, x)
+            with mp.workdps(60):
+                assert abs(r.value - mp.psi(n, x)) <= r.error, x
 
 
 class TestLogGamma:

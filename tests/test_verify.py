@@ -134,6 +134,35 @@ class TestLemmaI1:
     def test_domain(self):
         with pytest.raises(DomainError):
             lemma_I1_value(2, 1.0)
+        with pytest.raises(DomainError):
+            verify.lemma_I1_grid(2, np.array([1.0]))
+        for tol in (0.0, -1.0):
+            with pytest.raises(DomainError, match="tolerance must be positive"):
+                check_lemma_I1(3, Grid(1.01, 1.99, 3, "linear"), tol=tol)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_grid_error_covers_thirty_digits(self, n):
+        a = np.logspace(np.log10(0.05), 1.0, 9)
+        value, error = verify.lemma_I1_grid(n, a)
+        for ai, v, e in zip(a, value, error):
+            q = lemma_I1_value(n, ai, tol=1e-12)
+            assert abs(v - q.value) <= e + q.error_estimate, ai
+        # On the figure's range the float64 pass claims 1e-12 relative.
+        value, error = verify.lemma_I1_grid(n, np.linspace(1.01, 1.99, 25))
+        assert np.all(error <= 1e-12 * abs(value))
+
+    def test_escalates_where_float_error_exceeds_tol(self):
+        grid = Grid(5, 30, 3, "linear")
+        _, error = verify.lemma_I1_grid(3, np.array(grid.points(), dtype=float))
+        r = check_lemma_I1(3, grid)
+        assert 0 < r.summary["escalated"] == np.count_nonzero(error > 1e-9)
+        assert [w["status"] for w in r.witnesses] == ["strict"] * 3
+        assert r.passed and not r.counterexamples
+
+    def test_default_suite_rows_decide_in_float64(self):
+        for n in (3, 4):
+            r = check_lemma_I1(n, Grid(1.01, 1.99, 12, "linear"))
+            assert r.summary["escalated"] == 0
 
 
 class TestSubadditivity:
