@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -181,27 +182,27 @@ def _polygamma_asymptotic(n: int, y):
     """Large-argument expansion of psi^(n)(y); (value, first omitted term,
     terms added).
 
-    psi^(n)(y) ~ (-1)^(n-1) [lead + sum_k B_2k (2k+n-1)! / ((2k)! y^(2k+n))],
-    the lead being (n-1)!/y^n + n!/(2 y^(n+1)), or 1/(2y) - log y at n = 0.
-    Terms below 10^-(dps+2) of the lead no longer count; the first omitted
-    term still bounds the remainder.  Terms are read in order, so each
-    coefficient is the one before times (2k+n-1)(2k+n-2) / ((2k)(2k-1) y^2).
+    psi^(n)(y) ~ (-1)^(n-1) [lead + sum_k B_2k (2k+n-1)!/(2k)! y^-(2k+n)],
+    the lead being (n-1)!/y^n + n!/(2 y^(n+1)), or 1/(2y) - log y at n = 0,
+    where (2k-1)!/(2k)! = 1/(2k).  Terms below 10^-(dps+2) of the lead no
+    longer count; the first omitted term still bounds the remainder.  Terms
+    are read in order, so each power of y is the one before times y^-2.
     """
+    inv_y2 = 1 / (y * y)
+    first = inv_y2 / y**n if n else inv_y2
+    powers = itertools.accumulate(
+        itertools.chain([first], itertools.repeat(inv_y2)), operator.mul
+    )
     if n == 0:
         lead = 1 / (2 * y) - mp.log(y)
+        term = lambda k: BERNOULLI[2 * k] * next(powers) / (2 * k)
     else:
         lead = mp.factorial(n - 1) / y**n + mp.factorial(n) / (2 * y ** (n + 1))
-    inv_y2 = 1 / (y * y)
-    coefficients = itertools.accumulate(
-        itertools.count(2),
-        lambda c, k: c * ((2 * k + n - 1) * (2 * k + n - 2))
-        / ((2 * k) * (2 * k - 1)) * inv_y2,
-        initial=mp.factorial(n + 1) / (2 * y ** (n + 2)),
-    )
+        term = lambda k: (
+            BERNOULLI[2 * k] * math.perm(2 * k + n - 1, n - 1) * next(powers)
+        )
     total, err, count = _smallest_term_sum(
-        lead,
-        lambda k: BERNOULLI[2 * k] * next(coefficients),
-        small=mpf(10) ** (-mp.dps - 2) * abs(lead),
+        lead, term, small=mpf(10) ** (-mp.dps - 2) * abs(lead)
     )
     return (total if n % 2 else -total), err, count
 
