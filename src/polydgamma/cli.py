@@ -270,8 +270,8 @@ def run_figure(args) -> int:
     by at most 2e-15, 2e-15, 7e-16, 4e-15 and 1.2e-12 relative.  Figure 4
     is one float64 Gauss-Legendre pass per column by :func:`lemma_I1_grid`,
     whose claimed errors stay below 6e-13 (below 2e-13 relative; the
-    30-digit quadratures differ by at most 5e-15 relative); a cell claiming
-    more than 1e-9 would be recomputed by the 30-digit :func:`lemma_I1_value`.
+    30-digit mp.quad values differ by at most 5e-15 relative); a cell
+    claiming more than 1e-9 would be recomputed by :func:`lemma_I1_value`.
     """
     fid = args.id
     out = args.out or f"figure{fid}.csv"

@@ -27,9 +27,8 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .errors import DomainError
-from .quadrature import IntegrandSpec, integrate_semi_infinite
+from .quadrature import integrate_de, integrate_panels
 from .specfun import (
-    ABS_TOL,
     BERNOULLI,
     CONSTANTS,
     SHIFT_THRESHOLD,
@@ -45,8 +44,9 @@ from .specfun import (
 
 METHODS = ("series", "polygamma", "integral", "asymptotic", "auto")
 
-# Absolute tolerance of the quadrature of the expansion's exact remainder.
-REMAINDER_TOL = 1e-10
+# Digits of the integral route.  Its values are good to about 1e-20
+# relative; at 30 digits mp.quad takes about twice as long.
+INTEGRAL_DPS = 20
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,9 @@ class AsymptoticParams:
 
 def _kernel_density(n: int, t):
     """Laplace density t^n / (1 - exp(-t))^2 of (-1)^(n+1) psi2^(n), t > 0."""
-    em = -mp.expm1(-t)  # 1 - exp(-t), no cancellation near 0
+    # 1 - exp(-t) with the bits its cancellation costs: half mp.expm1's time.
+    with mp.extraprec(max(0, -mp.mag(t)) + 8):
+        em = 1 - mp.exp(-t)
     return t ** n / (em * em)
 
 
@@ -139,56 +141,114 @@ def psi2_zeta_form(arg: PolyDoubleArg) -> EvalResult:
     return EvalResult(value=value, error=err + 1e-30, method="zeta-form")
 
 
-def psi2_integral(arg: PolyDoubleArg, tol: float = 1e-10) -> EvalResult:
-    """Quadrature of the Laplace representation with the positive kernel."""
+def psi2_integral(arg: PolyDoubleArg) -> EvalResult:
+    """Quadrature of the Laplace representation with the positive kernel.
+
+    With s = x t the representation reads
+
+        (-1)^(n+1) psi2^(n)(x) = (1/x) int_0^inf e^(-s) t^n / (1 - e^(-t))^2 ds,
+
+    whose integrand peaks near s = n (t = n/x) on a scale of 1 at every x.
+    :func:`integrate_de` runs it at INTEGRAL_DPS digits in one piece, scaled
+    by its value there; breaking it at s = n or at t = 1 only adds nodes.
+    The error is integrate_de's.
+    """
     n, x = arg.n, arg.x
 
-    def evaluate(t):
-        return mp.exp(-x * t) * _kernel_density(n, t)
+    def integrand(s):
+        return mp.exp(-s) * _kernel_density(n, s / x)
 
-    spec = IntegrandSpec(evaluate=evaluate, decay_rate=float(x), origin_order=n - 2)
-    quad = integrate_semi_infinite(spec, tol)
-    value = mpf(-1) ** (n + 1) * quad.value
-    return EvalResult(value=value, error=quad.error_estimate, method="integral")
+    value, error = integrate_de(integrand, [0, mp.inf], n, INTEGRAL_DPS)
+    return EvalResult(
+        value=mpf(-1) ** (n + 1) * value / x, error=float(error / x), method="integral"
+    )
 
 
-def _bernoulli_remainder(t, n_blocks: int):
-    """t/(e^t - 1) minus its Bernoulli partial sum through degree 2N.
+# Taylor coefficients B_k/k! of t/(e^t - 1), k = 0..64, as doubles.
+_TAYLOR = np.array([float(b / mp.factorial(k)) for k, b in enumerate(BERNOULLI)])
+# Below this t the Bernoulli remainder is summed as its Taylor tail (radius
+# 2 pi), whose terms fall like 2 (t/(2 pi))^k.
+_TAYLOR_SPLIT = 3.0
 
-    Evaluated directly; cancellation near t = 0 only costs relative digits
-    of a quantity whose absolute size is already far below tolerance.
+
+def _remainder_integral(p: int, x, n_blocks: int, first: int = 0):
+    """int_0^inf t^p e^(-xt) (t/(e^t - 1) - sum_{k=first}^{2N} B_k t^k/k!) dt.
+
+    Below t = 3 the difference is its Taylor tail, summed over k < first and
+    2N < k <= 64; the terms past 64 add at most 1.3 (t/(2 pi))^(64-2N) times
+    the k = 2N+2 one.  Above, it is evaluated as written.  The integrand is
+    analytic at 0 and peaks near t = (p+2N+2)/x.  Float64 panels
+    (:func:`integrate_panels`) run on segments [a, 2a], a = 3 * 2^j (below
+    the lowest, on [0, a]), up to the one holding the peak and then upward,
+    until the closed-form bound beyond falls below 2^-53 of the integral of
+    the integrand's majorant (its terms' magnitudes summed).  So the work
+    grows like the log of x or 1/x.  Returns float (value, error): rule errors,
+    the rounding and the Taylor cut on each segment [a, b] (in units of
+    2^-53 of the majorant), and the bound beyond.
     """
-    t = mpf(t)
-    lead = t / mp.expm1(t)
-    part = mpf(0)
-    tk = mpf(1)
-    for k in range(0, 2 * n_blocks + 1):
-        if k > 0:
-            tk *= t / k
-        part += BERNOULLI[k] * tk
-    return lead - part
+    x = float(x)
+    k = np.arange(len(_TAYLOR))
+    subtracted = (first <= k) & (k <= 2 * n_blocks)
+    below = k[~subtracted], _TAYLOR[~subtracted]
+    above = k[subtracted], -_TAYLOR[subtracted]
+    q = p + 2 * n_blocks + 2
+
+    def segment(a, b):
+        ks, cs = below if b <= _TAYLOR_SPLIT else above
+
+        def f(t):
+            terms = cs * t**ks
+            rem = terms.sum(axis=1, keepdims=True)
+            size = abs(terms).sum(axis=1, keepdims=True)
+            if b > _TAYLOR_SPLIT:
+                lead = t / np.expm1(t)
+                rem, size = rem + lead, size + lead
+            weight = t**p * np.exp(-x * t)
+            return np.hstack([weight * rem, weight * size])
+
+        panels = math.ceil((q + x * b + min(b, 40.0)) / 3)
+        (value, size), (error, _) = integrate_panels(f, a, b, panels)
+        ulps = ks.max() + len(ks) + p + x * b + 8
+        if b <= _TAYLOR_SPLIT:
+            ulps += 1.3 * (b / (2 * math.pi)) ** (64 - 2 * n_blocks) * 2.0**53
+        return value, error + ulps * 2.0**-53 * size, size
+
+    def beyond(b):
+        """Bound on the integral of |integrand| over [b, inf)."""
+        ks, cs = below if b < _TAYLOR_SPLIT else above
+        # int_b^inf t^m e^(-xt) dt for m = 0, 1, ..., by parts.
+        moments = [math.exp(-x * b) / x]
+        for m in range(1, p + ks.max() + 1):
+            moments.append((math.exp(m * math.log(b) - x * b) + m * moments[-1]) / x)
+        bound = sum(abs(c) * moments[p + i] for i, c in zip(ks, cs))
+        if b < _TAYLOR_SPLIT:
+            # The Taylor cut is at most 0.3 times the k = 2N+2 term.
+            return 1.3 * bound + beyond(_TAYLOR_SPLIT)
+        return bound + moments[p]
+
+    peak = math.floor(math.log2(q / (3 * x)))
+    edges = [0.0] + [3 * 2.0**j for j in range(min(peak, 0), peak + 1)]
+    value = error = size = 0.0
+    with np.errstate(over="ignore"):
+        while True:
+            for a, b in zip(edges, edges[1:]):
+                v, e, s = segment(a, b)
+                value, error, size = value + v, error + e, size + s
+            if beyond(edges[-1]) <= 2.0**-53 * size:
+                break
+            edges = edges[-1:] + [2 * edges[-1]]
+    return float(value), float(error + beyond(edges[-1]))
 
 
 def asymptotic_remainder(arg: PolyDoubleArg, params: AsymptoticParams) -> EvalResult:
-    """Exact remainder term of the expansion, by semi-infinite quadrature.
+    """Exact remainder term of the expansion, by :func:`_remainder_integral`.
 
     tau_n(x) = (-1)^n int_0^inf t^(n-2) e^(-xt)
                (t/(e^t-1) - sum_{k=0}^{2N} B_k t^k / k!) dt
     """
-    n, x = arg.n, arg.x
-    N = params.terms
-
-    def evaluate(t):
-        return t ** (n - 2) * mp.exp(-x * t) * _bernoulli_remainder(t, N)
-
-    spec = IntegrandSpec(
-        evaluate=evaluate, decay_rate=float(x), origin_order=n + 2 * N
-    )
-    quad = integrate_semi_infinite(spec, REMAINDER_TOL)
+    value, error = _remainder_integral(arg.n - 2, arg.x, params.terms)
     return EvalResult(
-        value=mpf(-1) ** n * quad.value,
-        error=quad.error_estimate,
-        method="remainder-quadrature",
+        value=mpf(-1) ** arg.n * mpf(value), error=error, method="remainder-quadrature"
     )
 
 
@@ -201,21 +261,14 @@ def asymptotic_bernoulli_sum(arg: PolyDoubleArg, n_blocks: int):
     the next truncation), the natural error estimate with the remainder off.
     """
     n, x = arg.n, arg.x
-    sign = mpf(-1) ** n
-    total = mpf(0)
-    for k in range(1, n_blocks):
-        total += (
-            BERNOULLI[2 * k + 2]
-            * mp.factorial(2 * k + n)
-            / (mp.factorial(2 * k + 2) * x ** (2 * k + n + 1))
+
+    def block(k):
+        return BERNOULLI[2 * k + 2] * mp.factorial(2 * k + n) / (
+            mp.factorial(2 * k + 2) * x ** (2 * k + n + 1)
         )
-    k = n_blocks
-    omitted = abs(
-        BERNOULLI[2 * k + 2]
-        * mp.factorial(2 * k + n)
-        / (mp.factorial(2 * k + 2) * x ** (2 * k + n + 1))
-    )
-    return sign * total, omitted
+
+    total = sum((block(k) for k in range(1, n_blocks)), mpf(0))
+    return mpf(-1) ** n * total, abs(block(n_blocks))
 
 
 def asymptotic_closed_form(arg: PolyDoubleArg) -> EvalResult:
@@ -292,7 +345,7 @@ def psi2_eval(arg: PolyDoubleArg, method: str = "auto") -> EvalResult:
     if method == "polygamma":
         return psi2_from_polygamma(arg)
     if method == "integral":
-        return psi2_integral(arg, tol=ABS_TOL)
+        return psi2_integral(arg)
     if method == "asymptotic":
         return _via_asymptotic(arg)
     return psi2_series(arg)

@@ -29,9 +29,8 @@ WORKING_DPS = 30
 if mp.dps < WORKING_DPS:
     mp.dps = WORKING_DPS
 
-# Absolute error target of the routes: the integral route's quadrature
-# tolerance, and the scale of the hurwitz_zeta stop rule, which ends its
-# tail far below it.
+# Absolute error scale of the hurwitz_zeta stop rule, which ends its tail
+# far below it.
 ABS_TOL = 1e-12
 # Argument size above which asymptotic expansions and Euler-Maclaurin tails
 # are trusted; smaller arguments are recurrence-shifted past it first.

@@ -17,8 +17,8 @@ for the points that float64 does not decide: a margin within the gate, or
 a value that does not fit a double.  So each status is the one the 30-digit
 evaluation reaches; ``summary.escalated`` counts the recomputed points.
 The I_1 quadratures follow the same two tiers: one float64 Gauss-Legendre
-pass over the whole grid (:func:`lemma_I1_grid`), then the 30-digit
-adaptive quadrature where that pass does not decide.  The Hankel
+pass over the whole grid (:func:`lemma_I1_grid`), then a 30-digit mp.quad
+value (:func:`lemma_I1_value`) where that pass does not decide.  The Hankel
 determinants run at 30 digits only.
 
 Verification is numerical certification at finite depth on finite grids,
@@ -36,12 +36,12 @@ from typing import NamedTuple
 import numpy as np
 from mpmath import mp, mpf
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .polydg import (
     AsymptoticParams,
     PolyDoubleArg,
-    _bernoulli_remainder,
     _kernel_density,
+    _remainder_integral,
     asymptotic_bernoulli_sum,
     asymptotic_closed_form,
     asymptotic_remainder,
@@ -54,13 +54,8 @@ from .polydg import (
     psi2_series,
     psi2_zeta_form,
 )
-from .quadrature import (
-    IntegrandSpec,
-    integrate_finite,
-    integrate_panels,
-    integrate_semi_infinite,
-)
-from .specfun import BERNOULLI, hurwitz_zeta, polygamma, rounding_unit
+from .quadrature import integrate_de, integrate_panels
+from .specfun import EvalResult, hurwitz_zeta, polygamma, rounding_unit
 
 DISCLAIMER = "numerical certification at finite depth/grid; not a symbolic proof"
 
@@ -466,10 +461,13 @@ def check_F_cm(params: FParams, grid: Grid) -> CheckReport:
     )
 
 
-def lemma_I1_value(n: int, a, tol: float = 1e-9):
+def lemma_I1_value(n: int, a, tol: float = 1e-9) -> EvalResult:
     """I_1(a; n) = int_0^1 [(2n-3)u^2 - 1] f_n(a(1+u)) f_n(a(1-u)) du,
 
-    with f_n(t) = t^(n-1)/(1-e^(-t))^2; returns a QuadratureResult."""
+    with f_n(t) = t^(n-1)/(1-e^(-t))^2, by :func:`integrate_de` at the working
+    precision, in two pieces broken at u = 1/sqrt(2n-3), where the factor
+    changes sign, scaled by the integrand at u = 0.  Raises ConvergenceError
+    when the claimed error exceeds ``tol``."""
     if n < 3:
         raise DomainError("lemma_I1_value requires n >= 3")
     a = mpf(a)
@@ -480,7 +478,14 @@ def lemma_I1_value(n: int, a, tol: float = 1e-9):
     def integrand(u):
         return ((2 * n - 3) * u * u - 1) * f_n(a * (1 + u)) * f_n(a * (1 - u))
 
-    return integrate_finite(IntegrandSpec(evaluate=integrand, origin_order=0), 0, 1, tol)
+    value, error = integrate_de(integrand, [0, 1 / mp.sqrt(2 * n - 3), 1], 0, mp.dps)
+    if not error <= tol:
+        raise ConvergenceError(
+            f"I_1 quadrature claims {mp.nstr(error, 3)}, above tol {tol:g}",
+            best=value,
+            error_estimate=float(error),
+        )
+    return EvalResult(value=value, error=float(error), method="quadrature")
 
 
 # Panels of lemma_I1_grid's Gauss-Legendre pass on [0, 1].  On a in
@@ -488,12 +493,6 @@ def lemma_I1_value(n: int, a, tol: float = 1e-9):
 # figure's 1e-9; two bring n <= 5 under 3e-13 relative but leave n = 8 at
 # 1.4e-10; four bring every n <= 8 under 6e-13 relative.
 I1_PANELS = 4
-
-
-def _kernel_density_grid(n: int, t):
-    """float64 twin of :func:`polydg._kernel_density`."""
-    em = -np.expm1(-t)
-    return t**n / (em * em)
 
 
 def lemma_I1_grid(n: int, a):
@@ -520,8 +519,8 @@ def lemma_I1_grid(n: int, a):
         # Near its zero, (2n-3)u^2 - 1 evaluated in float64 has no relative
         # accuracy; from the exact node it is rounded once.
         factor = [float((2 * n - 3) * Fraction(v) ** 2 - 1) for v in u.ravel()]
-        f1 = _kernel_density_grid(n - 1, a * (1 + u))
-        f2 = _kernel_density_grid(n - 1, a * (1 - u))
+        # f_n(t) = t^(n-1)/(1-e^(-t))^2, as _kernel_density(n - 1, t).
+        f1, f2 = ((a * v) ** (n - 1) / np.expm1(-a * v) ** 2 for v in (1 + u, 1 - u))
         normal = (f1 >= FLOAT_VALUE_FLOOR) & (f2 >= FLOAT_VALUE_FLOOR)
         return np.where(normal, np.reshape(factor, u.shape) * f1 * f2, np.nan)
 
@@ -535,9 +534,10 @@ def check_lemma_I1(n: int, a_grid: Grid, tol: float = 1e-9) -> CheckReport:
     The whole grid is evaluated first by :func:`lemma_I1_grid`.  A point is
     decided there when its value and error are finite, the error is at most
     ``tol`` and |value| > (STRICTNESS_FACTOR + 2) tol: the 30-digit
-    quadrature, whose error is at most tol, then lies within 2 tol of the
-    float64 value and reaches the same status.  The other points run
-    :func:`lemma_I1_value` and count in ``summary.escalated``.
+    :func:`lemma_I1_value`, whose error is at most tol, then lies within
+    2 tol of the float64 value and reaches the same status.  The other
+    points run it and count in ``summary.escalated``; it raises
+    ConvergenceError where it cannot meet ``tol``.
     """
     if not tol > 0:
         raise DomainError("tolerance must be positive")
@@ -550,7 +550,7 @@ def check_lemma_I1(n: int, a_grid: Grid, tol: float = 1e-9) -> CheckReport:
         if not d:
             b.escalated += 1
             quad = lemma_I1_value(n, a, tol)
-            v, e = quad.value, quad.error_estimate
+            v, e = quad.value, quad.error
         b.record([float(a)], 0.0, v, e)
     return b.done()
 
@@ -917,17 +917,6 @@ def _entry(identity_id, anchor, deviation, err, note_ok, note_bad):
     return AuditEntry(identity_id, anchor, "discrepancy", deviation, note_bad)
 
 
-def _printed_tau(n, x, n_blocks, tol=1e-10):
-    # Printed variant: t^(n-3) weight and Bernoulli sum starting at k = 1.
-    def evaluate(t):
-        rem = _bernoulli_remainder(t, n_blocks) + BERNOULLI[0]  # re-add k=0
-        return t ** (n - 3) * mp.exp(-x * t) * rem
-
-    spec = IntegrandSpec(evaluate=evaluate, decay_rate=float(x), origin_order=n - 3)
-    quad = integrate_semi_infinite(spec, tol)
-    return mpf(-1) ** (n + 1) * quad.value, quad.error_estimate
-
-
 def _lagrange_brute_force(n=3, x=1.0, terms=10000):
     """Float64 double-sum oracle over pairs k < j versus the moment form.
 
@@ -962,7 +951,7 @@ def audit_identities() -> list:
         (
             "integral-representation",
             "Laplace transform of t^n/(1-e^-t)^2",
-            lambda arg: psi2_integral(arg, tol=1e-10),
+            psi2_integral,
             "quadrature of the kernel matches the series at all probes",
             "integral representation disagrees with the series",
         ),
@@ -1065,8 +1054,8 @@ def audit_identities() -> list:
 
     # Printed tau: t^(n-3) weight, Bernoulli sum starting at k = 1.
     sigma_derived, _ = asymptotic_bernoulli_sum(PolyDoubleArg(n, x), N)
-    tau_printed, tau_err = _printed_tau(n, x, N)
-    with_printed = closed + sigma_derived + tau_printed
+    tau_printed, tau_err = _remainder_integral(n - 3, x, N, first=1)
+    with_printed = closed + sigma_derived + mpf(-1) ** (n + 1) * mpf(tau_printed)
     dev = abs(float(ref.value - with_printed))
     entries.append(
         _entry(

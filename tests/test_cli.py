@@ -3,14 +3,14 @@
 import csv
 import json
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from mpmath import mpf
 
-from polydgamma import CheckReport, psi2_cached, quadrature
+from polydgamma import CheckReport, psi2_cached
 from polydgamma.cli import main
 from polydgamma.verify import _f_derivative
 
@@ -100,12 +100,14 @@ class TestExitCodes:
         assert err.splitlines()[0] == "error: tolerance must be positive"
 
     def test_lemma_unreachable_tolerance(self, capsys):
-        # No float64 error meets 1e-300, so every point escalates, and the
-        # 30-digit quadrature gives up (sooner with fewer subdivisions).
-        with mock.patch.object(quadrature, "MAX_SUBDIVISIONS", 20):
-            assert main(["check", "--id", "lemma-I1", "--tol", "1e-300"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: max subdivisions reached in integrate_finite")
+        # No float64 error meets 1e-300, so the first point escalates, and
+        # its quadrature's claim exceeds the tolerance at once.
+        start = time.perf_counter()
+        assert main(["check", "--id", "lemma-I1", "--tol", "1e-300"]) == 2
+        assert time.perf_counter() - start < 2.0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: I_1 quadrature claims")
+        assert "above tol 1e-300" in lines[0]
 
     def test_lemma_default_decides_in_float64(self, capsys):
         assert main(["check", "--id", "lemma-I1", "--format", "json"]) == 0

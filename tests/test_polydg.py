@@ -5,6 +5,7 @@ through the Hurwitz-zeta reduction (for psi2^(n)), direct series summation
 (for psi2), and an independent Barnes-G implementation (for log G)."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ class TestRoutesAgainstOracles:
     @pytest.mark.parametrize("key,ref", sorted(PSI2_ORACLE.items()))
     def test_integral_route(self, key, ref):
         n, x = key
-        r = psi2_integral(PolyDoubleArg(n, mpf(x)), tol=1e-10)
+        r = psi2_integral(PolyDoubleArg(n, mpf(x)))
         assert abs(r.value - mpf(ref)) < 1e-8 * max(1.0, abs(float(mpf(ref))))
 
     @pytest.mark.parametrize("key,ref", sorted(PSI2_ORACLE.items()))
@@ -124,6 +125,19 @@ class TestRoutesAgainstOracles:
         r = psi2_eval(arg, method="integral")
         ref = psi2_series(arg)
         assert abs(r.value - ref.value) <= r.error + ref.error
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 10, 40])
+    @pytest.mark.parametrize("x", ["1e-3", "0.1", "1", "10", "100", "1e4"])
+    def test_integral_claim_covers_error_quickly(self, n, x):
+        # mp.quad's own estimate reads far below the true error (1e-34 against
+        # 7e-22 relative at (10, 10)); the rounding allowance must cover it.
+        start = time.perf_counter()
+        r = psi2_integral(PolyDoubleArg(n, mpf(x)))
+        assert time.perf_counter() - start < 1.0
+        with mp.workdps(80):
+            ref = psi2_series(PolyDoubleArg(n, mpf(x))).value
+            assert abs(r.value - ref) <= r.error
+            assert r.error <= 1e-15 * abs(ref)
 
     def test_auto_route_matches_series_far_out(self):
         for n, x in [(2, 50), (3, 200), (6, 25), (7, 12.5)]:

@@ -1,72 +1,16 @@
-"""Adaptive quadrature engine: exactness, error-estimate honesty, and the
-semi-infinite tail split, against closed-form integrals."""
+"""Quadrature: the float64 panel rule against mpmath's Gauss-Legendre
+nodes and closed-form integrals, and the float64 integral of the asymptotic
+expansion's Bernoulli remainder against 30-digit mp.quad."""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from polydgamma import DomainError
-from polydgamma.quadrature import (
-    HIGH_ORDER,
-    LOW_ORDER,
-    IntegrandSpec,
-    _float_rule,
-    _gauss_rule,
-    integrate_finite,
-    integrate_panels,
-    integrate_semi_infinite,
-)
-
-
-class TestFinite:
-    def test_polynomial_exactness(self):
-        # Gauss-Legendre 15 integrates polynomials up to degree 29 exactly.
-        r = integrate_finite(
-            IntegrandSpec(evaluate=lambda t: 3 * t * t - 1), 0, 1, 1e-12
-        )
-        assert abs(r.value) < 1e-25
-
-        r = integrate_finite(
-            IntegrandSpec(evaluate=lambda t: 7 * t ** 6), 0, 2, 1e-12
-        )
-        assert abs(r.value - 2 ** 7) < 1e-22
-
-    def test_transcendental(self):
-        r = integrate_finite(IntegrandSpec(evaluate=mp.sin), 0, 2, 1e-12)
-        assert abs(r.value - (1 - mp.cos(2))) < 1e-12
-        assert abs(r.value - (1 - mp.cos(2))) <= max(r.error_estimate, 1e-20)
-
-    def test_domain_errors(self):
-        spec = IntegrandSpec(evaluate=lambda t: t)
-        with pytest.raises(DomainError):
-            integrate_finite(spec, 1, 1, 1e-10)
-        with pytest.raises(DomainError):
-            integrate_finite(spec, 0, 1, 0.0)
-        for order in (-1, -0.5):
-            with pytest.raises(DomainError):
-                IntegrandSpec(evaluate=lambda t: t, origin_order=order)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        b=st.floats(min_value=0.5, max_value=8.0),
-        tol_exp=st.integers(min_value=6, max_value=12),
-    )
-    def test_tolerance_honored(self, b, tol_exp):
-        # int_0^b t e^(-t) dt = 1 - (1+b) e^(-b); actual error <= estimate+tol.
-        tol = 10.0 ** (-tol_exp)
-        r = integrate_finite(
-            IntegrandSpec(evaluate=lambda t: t * mp.exp(-t)), 0, b, tol
-        )
-        exact = 1 - (1 + mpf(b)) * mp.exp(-mpf(b))
-        assert abs(r.value - exact) <= r.error_estimate + tol
-
-    def test_halving_tolerance_does_not_worsen(self):
-        spec = IntegrandSpec(evaluate=lambda t: mp.exp(-t * t) * mp.cos(5 * t))
-        loose = integrate_finite(spec, 0, 3, 1e-6)
-        tight = integrate_finite(spec, 0, 3, 5e-7)
-        assert tight.error_estimate <= max(loose.error_estimate, 5e-7)
-        assert tight.evaluations >= loose.evaluations
+from polydgamma.polydg import _remainder_integral
+from polydgamma.quadrature import HIGH_ORDER, LOW_ORDER, _float_rule, integrate_panels
+from polydgamma.specfun import BERNOULLI
 
 
 class TestPanels:
@@ -74,9 +18,12 @@ class TestPanels:
     def test_float_rule_is_the_mp_rule_rounded(self, order):
         x, w = _float_rule(order)
         with mp.workdps(60):
-            exact = sorted(_gauss_rule(order, 200))
-        assert list(x) == [float(node) for node, _ in exact]
-        assert list(w) == [float(weight) for _, weight in exact]
+            exact = sorted(zip(*mp.gauss_quadrature(order, "legendre")))
+            # The middle node comes out as about 1e-61, not 0.
+            nodes = [0.0 if abs(node) < 1e-50 else float(node) for node, _ in exact]
+            weights = [float(weight) for _, weight in exact]
+        assert list(x) == nodes
+        assert list(w) == weights
 
     def test_polynomial_exactness(self):
         # t^k for k = 0..29 at once: the 15-point rule is exact, so only the
@@ -101,41 +48,55 @@ class TestPanels:
         assert np.isnan(value).all() and np.isnan(error).all()
 
 
-class TestSemiInfinite:
-    def test_gamma_moments(self):
-        # int_0^inf t^2 e^(-t) dt = 2
-        r = integrate_semi_infinite(
-            IntegrandSpec(
-                evaluate=lambda t: t * t * mp.exp(-t), decay_rate=1.0, origin_order=2
-            ),
-            1e-10,
-        )
-        assert abs(r.value - 2) < 1e-10
+@lru_cache(maxsize=None)
+def _remainder_reference(p, x, n_blocks, first):
+    """The remainder integral by 30-digit mp.quad, broken at the peak and at 3."""
+    with mp.workdps(30):
+        x = mpf(x)
 
-        # int_0^inf t^3 e^(-2t) dt = 6/16
-        r = integrate_semi_infinite(
-            IntegrandSpec(
-                evaluate=lambda t: t ** 3 * mp.exp(-2 * t),
-                decay_rate=2.0,
-                origin_order=3,
-            ),
-            1e-10,
-        )
-        assert abs(r.value - mpf(6) / 16) < 1e-10
+        def integrand(t):
+            rem, tk = t / mp.expm1(t), mpf(1)
+            for k in range(2 * n_blocks + 1):
+                if k > 0:
+                    tk *= t / k
+                if k >= first:
+                    rem -= BERNOULLI[k] * tk
+            return t**p * mp.exp(-x * t) * rem
 
-    def test_requires_decay_rate(self):
-        with pytest.raises(DomainError):
-            integrate_semi_infinite(
-                IntegrandSpec(evaluate=lambda t: mp.exp(-t)), 1e-8
-            )
+        peak = mpf(p + 2 * n_blocks + 2) / x
+        return mp.quad(integrand, sorted({mpf(0), peak, mpf(3)}) + [mp.inf])
 
-    def test_error_estimate_covers_truth(self):
-        r = integrate_semi_infinite(
-            IntegrandSpec(
-                evaluate=lambda t: mp.exp(-t) * mp.cos(t),
-                decay_rate=1.0,
-                origin_order=0,
-            ),
-            1e-10,
-        )
-        assert abs(r.value - mpf(1) / 2) <= r.error_estimate + 1e-10
+
+# (p, x, N, first): the audit's four derived remainders tau_n (p = n - 2),
+# its printed one (p = n - 3, the Bernoulli sum from k = 1), and (4, 0.5, 6).
+REMAINDER_CASES = [
+    (0, 2.0, 3, 0),
+    (1, 10.0, 4, 0),
+    (3, 1.0, 6, 0),
+    (1, 2.0, 4, 0),
+    (0, 2.0, 4, 1),
+    (2, 0.5, 6, 0),
+]
+
+
+class TestRemainderIntegral:
+    def test_matches_thirty_digit_quad(self):
+        for p, x, n_blocks, first in REMAINDER_CASES:
+            value, _ = _remainder_integral(p, x, n_blocks, first)
+            ref = _remainder_reference(p, x, n_blocks, first)
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(float(ref))), (p, x)
+
+    def test_claim_covers_error(self):
+        for p, x, n_blocks, first in REMAINDER_CASES:
+            value, error = _remainder_integral(p, x, n_blocks, first)
+            ref = _remainder_reference(p, x, n_blocks, first)
+            assert abs(value - ref) <= error, (p, x)
+            assert error <= 1e-12 * max(1.0, abs(float(ref))), (p, x)
+
+    def test_far_out_stops_below_the_taylor_split(self):
+        # At x = 200 the mass lies near t = 0.04: the segments stop well below
+        # t = 3, and the bound past them (moments of t^m e^(-xt) in closed
+        # form) covers everything beyond.
+        value, error = _remainder_integral(0, 200.0, 3)
+        ref = _remainder_reference(0, 200.0, 3, 0)
+        assert abs(value - ref) <= error <= 1e-12 * abs(float(ref))

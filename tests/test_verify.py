@@ -146,7 +146,7 @@ class TestLemmaI1:
         value, error = verify.lemma_I1_grid(n, a)
         for ai, v, e in zip(a, value, error):
             q = lemma_I1_value(n, ai, tol=1e-12)
-            assert abs(v - q.value) <= e + q.error_estimate, ai
+            assert abs(v - q.value) <= e + q.error, ai
         # On the figure's range the float64 pass claims 1e-12 relative.
         value, error = verify.lemma_I1_grid(n, np.linspace(1.01, 1.99, 25))
         assert np.all(error <= 1e-12 * abs(value))
