@@ -1,16 +1,54 @@
-"""Quadrature: the float64 panel rule against mpmath's Gauss-Legendre
-nodes and closed-form integrals, and the float64 integral of the asymptotic
-expansion's Bernoulli remainder against 30-digit mp.quad."""
+"""Quadrature: mp.quad at fixed digits and the float64 panel rule against
+closed-form integrals, the panel rule against mpmath's Gauss-Legendre nodes,
+and the float64 integral of the asymptotic expansion's Bernoulli remainder
+against 30-digit mp.quad."""
 
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from polydgamma.polydg import _remainder_integral
-from polydgamma.quadrature import HIGH_ORDER, LOW_ORDER, _float_rule, integrate_panels
+from polydgamma.quadrature import (
+    HIGH_ORDER,
+    LOW_ORDER,
+    _float_rule,
+    integrate_de,
+    integrate_panels,
+)
 from polydgamma.specfun import BERNOULLI
+
+
+class TestFinite:
+    def test_polynomial_exactness(self):
+        # At 30 digits mp.quad gets low-degree polynomials to the working
+        # precision; 3t^2 - 1 is split at its root so each piece keeps a sign.
+        value, error = integrate_de(
+            lambda t: 3 * t * t - 1, [0, 1 / mp.sqrt(3), 1], 1, 30
+        )
+        assert abs(value) < 1e-25 and error < 1e-25
+
+        value, error = integrate_de(lambda t: 7 * t**6, [0, 2], 2, 30)
+        assert abs(value - 2**7) < 1e-22 and error < 1e-22
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        b=st.floats(min_value=0.5, max_value=8.0),
+        tol_exp=st.integers(min_value=6, max_value=12),
+    )
+    def test_tolerance_honored(self, b, tol_exp):
+        # int_0^b t e^(-t) dt = 1 - (1+b) e^(-b).  Three digits above the
+        # tolerance the claim is within it and covers the actual error.
+        tol = 10.0 ** (-tol_exp)
+        points = [0, 1, b] if b > 1 else [0, b]
+        value, error = integrate_de(
+            lambda t: t * mp.exp(-t), points, min(1, b), tol_exp + 3
+        )
+        with mp.workdps(40):
+            exact = 1 - (1 + mpf(b)) * mp.exp(-mpf(b))
+            assert abs(value - exact) <= error <= tol
 
 
 class TestPanels:
@@ -46,6 +84,18 @@ class TestPanels:
             lambda t: np.where(t < 0.5, np.nan, t) * np.ones(2), 0.0, 1.0, 2
         )
         assert np.isnan(value).all() and np.isnan(error).all()
+
+
+class TestSemiInfinite:
+    def test_error_estimate_covers_truth(self):
+        # int_0^inf e^(-t) cos^2 t dt = 1/2 + 1/10; the integrand keeps its
+        # sign, as integrate_de's rounding allowance needs.
+        for dps in (15, 20, 30):
+            value, error = integrate_de(
+                lambda t: mp.exp(-t) * mp.cos(t) ** 2, [0, mp.inf], 0, dps
+            )
+            with mp.workdps(40):
+                assert abs(value - mpf(3) / 5) <= error <= 10.0 ** (3 - dps)
 
 
 @lru_cache(maxsize=None)
