@@ -184,7 +184,8 @@ def _remainder_integral(p: int, x, n_blocks: int, first: int = 0):
     the integrand's majorant (its terms' magnitudes summed).  So the work
     grows like the log of x or 1/x.  Returns float (value, error): rule errors,
     the rounding and the Taylor cut on each segment [a, b] (in units of
-    2^-53 of the majorant), and the bound beyond.
+    2^-53 of the majorant), and the bound beyond.  Raises DomainError where
+    one of them does not fit a finite double (x = 1e-200 at p = 0, N = 3).
     """
     x = float(x)
     k = np.arange(len(_TAYLOR))
@@ -226,18 +227,24 @@ def _remainder_integral(p: int, x, n_blocks: int, first: int = 0):
             return 1.3 * bound + beyond(_TAYLOR_SPLIT)
         return bound + moments[p]
 
-    peak = math.floor(math.log2(q / (3 * x)))
-    edges = [0.0] + [3 * 2.0**j for j in range(min(peak, 0), peak + 1)]
-    value = error = size = 0.0
-    with np.errstate(over="ignore"):
-        while True:
-            for a, b in zip(edges, edges[1:]):
-                v, e, s = segment(a, b)
-                value, error, size = value + v, error + e, size + s
-            if beyond(edges[-1]) <= 2.0**-53 * size:
-                break
-            edges = edges[-1:] + [2 * edges[-1]]
-    return float(value), float(error + beyond(edges[-1]))
+    value = error = size = rest = 0.0
+    try:
+        with np.errstate(all="ignore"):
+            peak = math.floor(math.log2(q / (3 * x)))
+            edges = [0.0] + [3 * 2.0**j for j in range(min(peak, 0), peak + 1)]
+            while math.isfinite(value + error + size + rest):
+                for a, b in zip(edges, edges[1:]):
+                    v, e, s = segment(a, b)
+                    value, error, size = value + v, error + e, size + s
+                rest = beyond(edges[-1])
+                if rest <= 2.0**-53 * size:
+                    break
+                edges = edges[-1:] + [2 * edges[-1]]
+    except (OverflowError, ZeroDivisionError):
+        rest = math.inf
+    if not math.isfinite(value + error + size + rest):
+        raise DomainError(f"remainder integral at x={x:g} does not fit a finite double")
+    return float(value), float(error + rest)
 
 
 def asymptotic_remainder(arg: PolyDoubleArg, params: AsymptoticParams) -> EvalResult:

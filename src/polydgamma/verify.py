@@ -18,8 +18,7 @@ a value that does not fit a double.  So each status is the one the 30-digit
 evaluation reaches; ``summary.escalated`` counts the recomputed points.
 The I_1 quadratures follow the same two tiers: one float64 Gauss-Legendre
 pass over the whole grid (:func:`lemma_I1_grid`), then a 30-digit mp.quad
-value (:func:`lemma_I1_value`) where that pass does not decide.  The Hankel
-determinants run at 30 digits only.
+value (:func:`lemma_I1_value`) where that pass does not decide.
 
 Verification is numerical certification at finite depth on finite grids,
 not symbolic proof; report headers say so.
@@ -27,10 +26,11 @@ not symbolic proof; report headers say so.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -785,79 +785,69 @@ class HankelParams:
         if self.m > MAX_HANKEL_ORDER:
             raise DomainError(
                 f"matrix orders above {MAX_HANKEL_ORDER + 1} are rejected "
-                "(elimination error growth)"
+                "((m+1)! products in each determinant)"
             )
 
 
-def _det_with_condition(rows):
-    """Determinant by partial-pivot elimination plus a pivot-ratio estimate."""
-    a = [list(row) for row in rows]
-    size = len(a)
-    det = mpf(1)
-    pivots = []
-    for col in range(size):
-        piv = max(range(col, size), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
-            return mpf(0), mpf("inf")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        pivots.append(abs(a[col][col]))
-        for r in range(col + 1, size):
-            factor = a[r][col] / a[col][col]
-            for c in range(col, size):
-                a[r][c] -= factor * a[col][c]
-    cond = max(pivots) / min(pivots)
-    return det, cond
+def _hankel_claims(n, j, m, depth, at):
+    """s D against 0 and, at depth 1, 0 against s D', with s =
+    (-1)^((n+1)(m+1)) and D the determinant of psi2^(n+(i+l)j), i, l = 0..m.
 
+    D is the Leibniz sum over the (m+1)! permutations; D' the same sum with
+    each row differentiated in turn (Jacobi), a differentiated entry being
+    psi2^(order+1).  A product of values v with errors e is off by at most
+    prod(|v| + e) - prod|v|, accumulated factor by factor; its m roundings
+    and one per term of the sum take m + products - 1 units of the sum of
+    |products| (Higham 2002, sections 3.1 and 4.2), counted as m + 1 +
+    products.  A float64 product underflows only where every entry is below
+    1 (y > 78), so it loses far less than the two spare units wherever the
+    float tier decides (margins above FLOAT_VALUE_FLOOR**2).
+    """
+    sign = (-1) ** ((n + 1) * (m + 1))
+    perms = [((-1) ** sum(a > b for a, b in itertools.combinations(p, 2)), p)
+             for p in itertools.permutations(range(m + 1))]
 
-def _hankel_matrix(params: HankelParams, y, row_derivative=None):
-    n, j, m = params.n, params.j, params.m
-    rows = []
-    for i in range(m + 1):
-        row = []
-        for l in range(m + 1):
-            order = n + (i + l) * j + (1 if i == row_derivative else 0)
-            row.append(psi2_cached(order, y).value)
-        rows.append(row)
-    return rows
+    def leibniz(derived_rows):
+        total = err = size = 0
+        for d in derived_rows:
+            rows = [[at(n + (i + l) * j + (i == d)) for l in range(m + 1)]
+                    for i in range(m + 1)]
+            for parity, perm in perms:
+                prod = reduce(lambda a, b: _Value(a.value * b.value, _prod_err(a, b)),
+                              (rows[i][l] for i, l in enumerate(perm)))
+                total = total + parity * prod.value
+                err = err + prod.error
+                size = size + abs(prod.value)
+        count = len(derived_rows) * len(perms)
+        return sign * total, err + at.unit * (m + 1 + count) * size
+
+    value, err = leibniz([None])
+    claims = [([], "sign", value, 0.0, err)]
+    if depth == 1:
+        value, err = leibniz(range(m + 1))
+        claims.append(([], "decreasing", 0.0, value, err))
+    return claims
 
 
 def check_hankel_cm(params: HankelParams, depth: int, grid: Grid) -> CheckReport:
     """Sign and monotonicity of the Hankel determinant of derivative orders.
 
     Entries psi2^(n+(i+l)j)(y); the signed determinant
-    (-1)^((n+1)(m+1)) D(y) is non-negative and (depth >= 1) non-increasing,
-    its derivative taken exactly by the Jacobi row-expansion.
+    (-1)^((n+1)(m+1)) D(y) is non-negative and, at depth 1, non-increasing,
+    its derivative taken exactly by the Jacobi row-expansion
+    (:func:`_hankel_claims`).  A determinant its error cannot separate from
+    zero is an ``equality``.
     """
-    if depth < 0:
-        raise DomainError("derivative depth must be >= 0")
+    if depth not in (0, 1):
+        raise DomainError("hankel checks derivative depth 0 or 1")
     b = _ReportBuilder(
         "hankel",
         {"n": params.n, "j": params.j, "m": params.m, "depth": depth,
          "grid": asdict(grid)},
     )
-    sign = mpf(-1) ** ((params.n + 1) * (params.m + 1))
-    worst_cond = 0.0
-    for y in grid.points():
-        det, cond = _det_with_condition(_hankel_matrix(params, y))
-        worst_cond = max(worst_cond, float(cond))
-        scale = float(abs(det)) if det != 0 else 1.0
-        err = 1e-18 * scale * float(cond)
-        b.record([float(y)], sign * det, 0.0, err, strict=False, label="sign")
-        if depth >= 1:
-            ddet = mpf(0)
-            for i in range(params.m + 1):
-                d, _ = _det_with_condition(
-                    _hankel_matrix(params, y, row_derivative=i)
-                )
-                ddet += d
-            b.record([float(y)], 0.0, sign * ddet, err, strict=False,
-                     label="decreasing")
-    if worst_cond > 1e25:
-        b.report.summary["ill_conditioned"] = True
-    return b.done(condition_estimate=worst_cond)
+    claims = partial(_hankel_claims, params.n, params.j, params.m, depth)
+    b.record_all(*_on_grid(grid), claims, strict=False)
+    return b.done()
 
 
 def _cauchy_schwarz_claims(n, const, at):

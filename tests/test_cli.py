@@ -39,6 +39,13 @@ class TestExitCodes:
         assert main(["check", "--id", cid, "--depth", "-1", "--grid-count", "4"]) == 2
         assert "depth" in capsys.readouterr().err
 
+    def test_hankel_depth_above_one(self, capsys):
+        # Depth 2 once ran as depth 1 without a word.
+        assert main(["check", "--id", "hankel", "--depth", "2"]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == ["error: hankel checks derivative depth 0 or 1"]
+
     def test_gap_omega_counterexample(self, capsys):
         code = main(["check", "--id", "F-cm", "--n", "3", "--omega", "0.6",
                      "--depth", "2", "--grid-count", "8"])

@@ -3,6 +3,7 @@ closed-form integrals, the panel rule against mpmath's Gauss-Legendre nodes,
 and the float64 integral of the asymptotic expansion's Bernoulli remainder
 against 30-digit mp.quad."""
 
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from polydgamma import AsymptoticParams, DomainError, PolyDoubleArg, psi2_asymptotic
 from polydgamma.polydg import _remainder_integral
 from polydgamma.quadrature import (
     HIGH_ORDER,
@@ -150,3 +152,22 @@ class TestRemainderIntegral:
         value, error = _remainder_integral(0, 200.0, 3)
         ref = _remainder_reference(0, 200.0, 3, 0)
         assert abs(value - ref) <= error <= 1e-12 * abs(float(ref))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: _remainder_integral(0, 1e-200, 3),
+            lambda: _remainder_integral(0, 0.0, 3),
+            lambda: psi2_asymptotic(PolyDoubleArg(2, "1e-300")),
+            lambda: psi2_asymptotic(
+                PolyDoubleArg(62, "1e-3"), AsymptoticParams(terms=6)
+            ),
+        ],
+        ids=["tau-x-1e-200", "tau-x-0", "psi2-x-1e-300", "psi2-n-62-x-1e-3"],
+    )
+    def test_beyond_a_double_is_a_domain_error(self, call):
+        # These once raised a bare OverflowError after numpy RuntimeWarnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="does not fit a finite double"):
+                call()

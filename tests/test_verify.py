@@ -1,5 +1,6 @@
 """Theorem-check machinery and the identity audit."""
 
+import functools
 import json
 import math
 from dataclasses import asdict
@@ -35,10 +36,11 @@ from polydgamma import (
 )
 from polydgamma import verify
 from polydgamma.verify import (
-    _det_with_condition,
-    _hankel_matrix,
+    _FloatLookup,
+    _hankel_claims,
     _lagrange_brute_force,
     _ReportBuilder,
+    _ThirtyDigitLookup,
     _Value,
 )
 
@@ -224,10 +226,63 @@ class TestGConvexity:
             GParams(3, 0.0)
 
 
+HANKEL_GRID = Grid(0.05, 50.0, 30, "log")
+HANKEL_CASES = [(n, j, m) for n in (2, 3) for j in (1, 2) for m in range(1, 5)]
+
+
+@functools.cache
+def _hankel_entries(order):
+    """psi2^(order) at each HANKEL_GRID point, from the 60-digit series."""
+    with mp.workdps(60):
+        return [psi2_series(PolyDoubleArg(order, x)).value
+                for x in HANKEL_GRID.points()]
+
+
+def _hankel_oracle(n, j, m, p):
+    """s D and s D' at the p-th HANKEL_GRID point by 60-digit mp.det."""
+
+    def det(d):
+        return mp.det(mp.matrix(
+            [[_hankel_entries(n + (i + l) * j + (i == d))[p] for l in range(m + 1)]
+             for i in range(m + 1)]
+        ))
+
+    sign = (-1) ** ((n + 1) * (m + 1))
+    with mp.workdps(60):
+        return sign * det(None), sign * mp.fsum(det(d) for d in range(m + 1))
+
+
 class TestHankel:
     def test_anchor_determinant(self):
-        det, _ = _det_with_condition(_hankel_matrix(HankelParams(2, 1, 1), mpf(1)))
+        [(_, _, det, _, _)] = _hankel_claims(2, 1, 1, 0, _ThirtyDigitLookup((mpf(1),)))
         assert abs(det - mpf(HANKEL_ORACLE)) < 1e-15
+
+    @pytest.mark.parametrize("tier", ["float64", "30-digit"])
+    def test_claims_cover_60_digit_determinants(self, tier):
+        args = [(x,) for x in HANKEL_GRID.points()]
+        for n, j, m in HANKEL_CASES:
+            if tier == "float64":
+                at = _FloatLookup(args)
+                claims = _hankel_claims(n, j, m, 1, at)
+                assert not at.unfit.any()
+                found = [[tuple(verify._item(a, p) for a in c[2:]) for c in claims]
+                         for p in range(len(args))]
+            else:
+                found = [[c[2:] for c in _hankel_claims(n, j, m, 1, _ThirtyDigitLookup(a))]
+                         for a in args]
+            for p, ((det, _, det_err), (_, ddet, ddet_err)) in enumerate(found):
+                exact_det, exact_ddet = _hankel_oracle(n, j, m, p)
+                assert abs(det - exact_det) <= det_err, (n, j, m, p)
+                assert abs(ddet - exact_ddet) <= ddet_err, (n, j, m, p)
+
+    def test_ill_conditioned_determinant_is_strict(self):
+        # At x = 50 the matrix of (2, 3, 4) is ill-conditioned (elimination
+        # pivots span 3e17), yet its determinant, 6.756e-61, is good to 15
+        # digits in float64 and clears its error bound.
+        r = check_hankel_cm(HankelParams(2, 3, 4), 1, Grid(25.0, 50.0, 2))
+        assert r.summary["escalated"] == 0
+        assert [w["status"] for w in r.witnesses] == ["strict"] * 4
+        assert abs(r.witnesses[2]["lhs"] / 6.756009271072784e-61 - 1) < 1e-14
 
     def test_sign_and_decrease(self):
         for params in (HankelParams(2, 1, 1), HankelParams(2, 1, 2),
@@ -238,10 +293,6 @@ class TestHankel:
     def test_order_cap(self):
         with pytest.raises(DomainError):
             HankelParams(2, 1, 5)
-
-    def test_condition_reported(self):
-        r = check_hankel_cm(HankelParams(2, 1, 2), 0, SMALL)
-        assert r.summary["condition_estimate"] > 1.0
 
 
 class TestCauchySchwarz:
@@ -423,6 +474,16 @@ class TestFloatTier:
         assert _statuses(mixed) == _statuses(exact)
         assert mixed.summary["observed_signs"] == exact.summary["observed_signs"]
 
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(2, 6), st.integers(1, 3), st.integers(1, 3), st.integers(0, 1),
+           _EXPONENTS, _SPANS, st.integers(2, 6))
+    def test_hankel_tiers_agree(self, n, j, m, depth, lo_exp, span, count):
+        params, grid = HankelParams(n, j, m), _grid(lo_exp, span, count, "log")
+        assert _statuses(check_hankel_cm(params, depth, grid)) == _statuses(
+            _thirty_digit_only(check_hankel_cm, params, depth, grid)
+        )
+
     def test_default_grids_decide_in_float64(self):
         # Only the midpoint equality, whose margin is zero, is recomputed.
         assert check_cm(3, 5, Grid(0.05, 50.0, 40, "log")).summary["escalated"] == 0
@@ -486,6 +547,7 @@ _CLAIMS = {
     ],
     "G-additive": partial(verify._g_pair_claims, 3, mpf("-0.6"), True),
     "cauchy-schwarz": partial(verify._cauchy_schwarz_claims, 4, mpf(10) / 12),
+    "hankel": partial(verify._hankel_claims, 2, 1, 3, 1),
 }
 
 
