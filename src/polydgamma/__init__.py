@@ -20,11 +20,7 @@ from .specfun import EvalResult, hurwitz_zeta, log_gamma, polygamma
 from .verify import (
     AuditEntry,
     CheckReport,
-    FParams,
-    GParams,
     Grid,
-    HankelParams,
-    SubAddParams,
     audit_identities,
     check_F_cm,
     check_G_convexity,
@@ -45,12 +41,8 @@ __all__ = [
     "ConvergenceError",
     "DomainError",
     "EvalResult",
-    "FParams",
-    "GParams",
     "Grid",
-    "HankelParams",
     "PolyDoubleArg",
-    "SubAddParams",
     "audit_identities",
     "check_F_cm",
     "check_G_convexity",

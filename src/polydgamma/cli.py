@@ -25,7 +25,7 @@ from .polydg import (
     psi2_eval,
     psi2_grid,
 )
-from .verify import FParams, GParams, Grid, HankelParams, SubAddParams
+from .verify import Grid
 
 CSV_DIGITS = 17
 
@@ -110,41 +110,35 @@ def run_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Every check id: the verify call it makes, and the default of each option it
-# reads, keyed by the option's argparse dest and stated nowhere else.  "grid"
-# stands for the four --grid-* options, each of which replaces one field of
-# the default grid; a callable default is computed from the values before it.
+# Every check id: the verify function it runs, and the default of each of that
+# function's parameters, keyed by the parameter's name, which is the argparse
+# dest of its option; the verify functions take no defaults of their own.
+# "grid" stands for the four --grid-* options, each of which replaces one field
+# of the default grid; a callable default is computed from the values before it.
 CHECKS = {
     "cm": (verify.check_cm, dict(n=3, depth=5, grid=Grid(0.05, 50.0, 60, "log"))),
     "turan": (verify.check_turan, dict(n=2, grid=Grid(0.05, 4.0, 60, "linear"))),
     "ratio-bounds": (
         verify.check_ratio_bounds, dict(n=4, grid=Grid(0.05, 1e4, 60, "log"))
     ),
+    # omega defaults to the lower constant (n-2)/(n-1); the max keeps n < 2
+    # from dividing by zero before check_F_cm rejects it.
     "F-cm": (
-        lambda n, omega, depth, grid: verify.check_F_cm(FParams(n, omega, depth), grid),
-        # omega defaults to the lower constant (n-2)/(n-1); the max keeps
-        # n < 2 from dividing by zero before FParams rejects it.
+        verify.check_F_cm,
         dict(n=3, omega=lambda v: (v["n"] - 2) / max(v["n"] - 1, 1), depth=4,
              grid=Grid(0.05, 50.0, 30, "log")),
     ),
     "lemma-I1": (
-        lambda n, grid, tol: verify.check_lemma_I1(n, grid, tol=tol),
-        dict(n=3, grid=Grid(1.01, 1.99, 20, "linear"), tol=1e-10),
+        verify.check_lemma_I1, dict(n=3, grid=Grid(1.01, 1.99, 20, "linear"), tol=1e-10)
     ),
     "subadditivity": (
-        lambda n, r_order, m, samples, seed: verify.check_subadditivity(
-            SubAddParams(n, r_order, m, samples, seed)
-        ),
-        dict(n=2, r_order=1, m=2.0, samples=200, seed=0),
+        verify.check_subadditivity, dict(n=2, r_order=1, m=2.0, samples=200, seed=0)
     ),
     "G-convexity": (
-        lambda n, r, grid: verify.check_G_convexity(GParams(n, r), grid),
-        dict(n=3, r=1.0, grid=Grid(0.2, 10.0, 30, "log")),
+        verify.check_G_convexity, dict(n=3, r=1.0, grid=Grid(0.2, 10.0, 30, "log"))
     ),
     "hankel": (
-        lambda n, j, m_order, depth, grid: verify.check_hankel_cm(
-            HankelParams(n, j, m_order), depth, grid
-        ),
+        verify.check_hankel_cm,
         dict(n=2, j=1, m_order=1, depth=1, grid=Grid(0.2, 10.0, 30, "log")),
     ),
     "cauchy-schwarz": (
@@ -300,10 +294,10 @@ def run_figure(args) -> int:
         columns = []
         for n in (3, 4):
             value, error = verify.lemma_I1_grid(n, xa)
-            # A cell whose claimed error exceeds lemma_I1_value's default
-            # tolerance is recomputed by it.
+            # A cell whose claimed error exceeds 1e-9 is recomputed by
+            # lemma_I1_value to that tolerance.
             columns.append([
-                v if e <= 1e-9 else verify.lemma_I1_value(n, a).value
+                v if e <= 1e-9 else verify.lemma_I1_value(n, a, 1e-9).value
                 for a, v, e in zip(xs, value, error)
             ])
     elif fid in (5, 6):

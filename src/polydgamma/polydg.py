@@ -19,6 +19,7 @@ derivative-sign questions downstream reduce to direct evaluations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -169,6 +170,8 @@ _TAYLOR = np.array([float(b / mp.factorial(k)) for k, b in enumerate(BERNOULLI)]
 # Below this t the Bernoulli remainder is summed as its Taylor tail (radius
 # 2 pi), whose terms fall like 2 (t/(2 pi))^k.
 _TAYLOR_SPLIT = 3.0
+# ln(8 * DBL_MAX); 8 * sys.float_info.max itself is inf.
+_LOG_8_DBL_MAX = math.log(sys.float_info.max) + math.log(8)
 
 
 def _remainder_integral(p: int, x, n_blocks: int, first: int = 0):
@@ -228,8 +231,14 @@ def _remainder_integral(p: int, x, n_blocks: int, first: int = 0):
         return bound + moments[p]
 
     value = error = size = rest = 0.0
-    try:
-        with np.errstate(all="ignore"):
+    # At the peak segment beyond()'s moment of order p + 2N is at least 0.2
+    # of (p+2N)!/x^(p+2N+1); past 8 times the largest double the loop would
+    # overflow there, so it does not start.
+    top = p + 2 * n_blocks
+    if x > 0 and math.lgamma(top + 1) - (top + 1) * math.log(x) > _LOG_8_DBL_MAX:
+        rest = math.inf
+    with np.errstate(all="ignore"):
+        try:
             peak = math.floor(math.log2(q / (3 * x)))
             edges = [0.0] + [3 * 2.0**j for j in range(min(peak, 0), peak + 1)]
             while math.isfinite(value + error + size + rest):
@@ -240,9 +249,10 @@ def _remainder_integral(p: int, x, n_blocks: int, first: int = 0):
                 if rest <= 2.0**-53 * size:
                     break
                 edges = edges[-1:] + [2 * edges[-1]]
-    except (OverflowError, ZeroDivisionError):
-        rest = math.inf
-    if not math.isfinite(value + error + size + rest):
+        except (OverflowError, ZeroDivisionError):
+            rest = math.inf
+        fits = math.isfinite(value + error + size + rest)
+    if not fits:
         raise DomainError(f"remainder integral at x={x:g} does not fit a finite double")
     return float(value), float(error + rest)
 

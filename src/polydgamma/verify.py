@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import partial, reduce
 from typing import NamedTuple
@@ -112,7 +112,8 @@ class CheckReport:
     tolerance: float = 0.0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a dict; its lists and dicts are the report's own."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckReport":
@@ -377,21 +378,6 @@ def check_ratio_bounds(n: int, grid: Grid) -> CheckReport:
     )
 
 
-@dataclass(frozen=True)
-class FParams:
-    """Parameters of F_n(x; omega) = (psi2^(n))^2 - omega psi2^(n-1) psi2^(n+1)."""
-
-    n: int
-    omega: float
-    derivative_depth: int = 6
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise DomainError("F check requires n >= 3")
-        if self.derivative_depth < 0:
-            raise DomainError("derivative depth must be >= 0")
-
-
 def _f_derivative(n: int, omega, k: int, lookup):
     """Exact k-th derivative of F via the Leibniz rule; (value, err, size).
 
@@ -425,14 +411,19 @@ def _f_claims(n, omega, depth, patterns, at):
     return claims
 
 
-def check_F_cm(params: FParams, grid: Grid) -> CheckReport:
-    """Alternating-sign pattern of F (omega below the lower constant) or of
-    -F (omega above the upper constant) up to the requested depth.
+def check_F_cm(n: int, omega: float, depth: int, grid: Grid) -> CheckReport:
+    """Alternating-sign pattern of F_n(x; omega) = (psi2^(n))^2 - omega
+    psi2^(n-1) psi2^(n+1) (omega below the lower constant) or of -F (omega
+    above the upper constant), derivative orders 0..depth.
 
     For omega strictly inside the gap neither pattern is claimed; both are
     evaluated and the report records where each one fails.
     """
-    n, omega, depth = params.n, mpf(params.omega), params.derivative_depth
+    if n < 3:
+        raise DomainError("F check requires n >= 3")
+    if depth < 0:
+        raise DomainError("derivative depth must be >= 0")
+    omega = mpf(omega)
     lo_c = mpf(n - 2) / (n - 1)
     hi_c = mpf(n) / (n + 1)
     in_gap = lo_c < omega < hi_c
@@ -461,7 +452,7 @@ def check_F_cm(params: FParams, grid: Grid) -> CheckReport:
     )
 
 
-def lemma_I1_value(n: int, a, tol: float = 1e-9) -> EvalResult:
+def lemma_I1_value(n: int, a, tol: float) -> EvalResult:
     """I_1(a; n) = int_0^1 [(2n-3)u^2 - 1] f_n(a(1+u)) f_n(a(1-u)) du,
 
     with f_n(t) = t^(n-1)/(1-e^(-t))^2, by :func:`integrate_de` at the working
@@ -528,7 +519,7 @@ def lemma_I1_grid(n: int, a):
         return integrate_panels(integrand, 0.0, 1.0, I1_PANELS, ulps=6 * n + 16)
 
 
-def check_lemma_I1(n: int, a_grid: Grid, tol: float = 1e-9) -> CheckReport:
+def check_lemma_I1(n: int, grid: Grid, tol: float) -> CheckReport:
     """Negativity of I_1(a; n) for every a on the grid.
 
     The whole grid is evaluated first by :func:`lemma_I1_grid`.  A point is
@@ -541,8 +532,8 @@ def check_lemma_I1(n: int, a_grid: Grid, tol: float = 1e-9) -> CheckReport:
     """
     if not tol > 0:
         raise DomainError("tolerance must be positive")
-    b = _ReportBuilder("lemma-I1", {"n": n, "grid": asdict(a_grid), "tol": tol})
-    points = a_grid.points()
+    b = _ReportBuilder("lemma-I1", {"n": n, "grid": asdict(grid), "tol": tol})
+    points = grid.points()
     value, error = lemma_I1_grid(n, np.array(points, dtype=np.float64))
     # NaN and infinities fail one of the two comparisons.
     decided = (error <= tol) & (abs(value) > (STRICTNESS_FACTOR + 2) * tol)
@@ -553,23 +544,6 @@ def check_lemma_I1(n: int, a_grid: Grid, tol: float = 1e-9) -> CheckReport:
             v, e = quad.value, quad.error
         b.record([float(a)], 0.0, v, e)
     return b.done()
-
-
-@dataclass(frozen=True)
-class SubAddParams:
-    """Order split n + r, domain bound m, and the pair-sample budget."""
-
-    n: int
-    r: int = 0
-    m: float = 2.0
-    samples: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 2 or self.r < 0:
-            raise DomainError("need n >= 2 and r >= 0")
-        if not self.m > 0 or self.samples < 1:
-            raise DomainError("need m > 0 and samples >= 1")
 
 
 _PHI = (math.sqrt(5) - 1) / 2
@@ -619,30 +593,38 @@ def _midpoint_claims(s, subadditive, at):
     return [([], "midpoint", lhs, rhs, err)]
 
 
-def check_subadditivity(params: SubAddParams) -> CheckReport:
-    """Strict sub-/superadditivity of psi2^(n+r) on the bounded triangle.
+def check_subadditivity(
+    n: int, r_order: int, m: float, samples: int, seed: int
+) -> CheckReport:
+    """Strict sub-/superadditivity of psi2^(n+r) on the triangle {x1, x2 > 0,
+    x1 + x2 <= m}, at ``samples`` pairs drawn with ``seed``.
 
-    Order s = n + r: subadditive when s is odd (parities of n and r differ),
-    superadditive when s is even.  Also checks the sharpened bound: the
-    deficit psi2^(s)(x1+x2) - psi2^(s)(x1) - psi2^(s)(x2) stays on the
-    correct side of its midpoint value psi2^(s)(m) - 2 psi2^(s)(m/2), which
-    is attained exactly at x1 = x2 = m/2.
+    Order s = n + r, r = ``r_order``: subadditive when s is odd (parities of
+    n and r differ), superadditive when s is even.  Also checks the
+    sharpened bound: the deficit psi2^(s)(x1+x2) - psi2^(s)(x1) -
+    psi2^(s)(x2) stays on the correct side of its midpoint value
+    psi2^(s)(m) - 2 psi2^(s)(m/2), which is attained exactly at
+    x1 = x2 = m/2.
     """
-    s = params.n + params.r
-    m = mpf(params.m)
+    if n < 2 or r_order < 0:
+        raise DomainError("need n >= 2 and r >= 0")
+    if not m > 0 or samples < 1:
+        raise DomainError("need m > 0 and samples >= 1")
+    s = n + r_order
+    m = mpf(m)
     subadditive = s % 2 == 1
     b = _ReportBuilder(
         "subadditivity",
         {
-            "n": params.n,
-            "r": params.r,
+            "n": n,
+            "r": r_order,
             "m": float(m),
-            "samples": params.samples,
-            "seed": params.seed,
+            "samples": samples,
+            "seed": seed,
             "mode": "subadditive" if subadditive else "superadditive",
         },
     )
-    pairs = _triangle_pairs(float(m), params.samples, params.seed)
+    pairs = _triangle_pairs(float(m), samples, seed)
     b.record_all(
         [[float(x1), float(x2)] for x1, x2 in pairs],
         [(x1, x2, x1 + x2, m, m / 2) for x1, x2 in pairs],
@@ -657,20 +639,6 @@ def check_subadditivity(params: SubAddParams) -> CheckReport:
         strict=False,
     )
     return b.done(sharp_bound=float(lhs if subadditive else rhs))
-
-
-@dataclass(frozen=True)
-class GParams:
-    """Exponent r of G_n(x; r) = ((-1)^(n+1) psi2^(n)(x))^r."""
-
-    n: int
-    r: float
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise DomainError("G check requires n >= 3")
-        if self.r == 0:
-            raise DomainError("r must be non-zero")
 
 
 def _g_second(n, r, at):
@@ -715,8 +683,9 @@ def _g_pair_claims(n, r, sub, at):
     return [([], "additive", lhs, rhs, err)]
 
 
-def check_G_convexity(params: GParams, grid: Grid) -> CheckReport:
-    """Sign of the exact second derivative of G_n(x; r):
+def check_G_convexity(n: int, r: float, grid: Grid) -> CheckReport:
+    """Sign of the exact second derivative of G_n(x; r) = ((-1)^(n+1)
+    psi2^(n)(x))^r:
 
         G'' = r u^(r-2) [ (r-1) (psi2^(n+1))^2 + psi2^(n) psi2^(n+2) ],
         u = (-1)^(n+1) psi2^(n) > 0.
@@ -726,7 +695,11 @@ def check_G_convexity(params: GParams, grid: Grid) -> CheckReport:
     corollaries (G(x)+G(y) vs G(x+y)) are checked on sampled pairs for the
     two signed-exponent ranges.
     """
-    n, r = params.n, mpf(params.r)
+    if n < 3:
+        raise DomainError("G check requires n >= 3")
+    if r == 0:
+        raise DomainError("r must be non-zero")
+    r = mpf(r)
     lo_gap = -mpf(1) / (n - 1)
     hi_gap = -mpf(1) / (n + 1)
     if r < lo_gap or r > 0:
@@ -771,24 +744,6 @@ def check_G_convexity(params: GParams, grid: Grid) -> CheckReport:
     )
 
 
-@dataclass(frozen=True)
-class HankelParams:
-    """Base order n, stride j, and matrix order m+1 for the determinant."""
-
-    n: int
-    j: int = 1
-    m: int = 1
-
-    def __post_init__(self):
-        if self.n < 2 or self.j < 1 or self.m < 1:
-            raise DomainError("need n >= 2, j >= 1, m >= 1")
-        if self.m > MAX_HANKEL_ORDER:
-            raise DomainError(
-                f"matrix orders above {MAX_HANKEL_ORDER + 1} are rejected "
-                "((m+1)! products in each determinant)"
-            )
-
-
 def _hankel_claims(n, j, m, depth, at):
     """s D against 0 and, at depth 1, 0 against s D', with s =
     (-1)^((n+1)(m+1)) and D the determinant of psi2^(n+(i+l)j), i, l = 0..m.
@@ -829,23 +784,31 @@ def _hankel_claims(n, j, m, depth, at):
     return claims
 
 
-def check_hankel_cm(params: HankelParams, depth: int, grid: Grid) -> CheckReport:
+def check_hankel_cm(
+    n: int, j: int, m_order: int, depth: int, grid: Grid
+) -> CheckReport:
     """Sign and monotonicity of the Hankel determinant of derivative orders.
 
-    Entries psi2^(n+(i+l)j)(y); the signed determinant
-    (-1)^((n+1)(m+1)) D(y) is non-negative and, at depth 1, non-increasing,
-    its derivative taken exactly by the Jacobi row-expansion
-    (:func:`_hankel_claims`).  A determinant its error cannot separate from
-    zero is an ``equality``.
+    Entries psi2^(n+(i+l)j)(y), i, l = 0..m with m = ``m_order``; the
+    signed determinant (-1)^((n+1)(m+1)) D(y) is non-negative and, at
+    depth 1, non-increasing, its derivative taken exactly by the Jacobi
+    row-expansion (:func:`_hankel_claims`).  A determinant its error cannot
+    separate from zero is an ``equality``.
     """
+    if n < 2 or j < 1 or m_order < 1:
+        raise DomainError("need n >= 2, j >= 1, m >= 1")
+    if m_order > MAX_HANKEL_ORDER:
+        raise DomainError(
+            f"matrix orders above {MAX_HANKEL_ORDER + 1} are rejected "
+            "((m+1)! products in each determinant)"
+        )
     if depth not in (0, 1):
         raise DomainError("hankel checks derivative depth 0 or 1")
     b = _ReportBuilder(
         "hankel",
-        {"n": params.n, "j": params.j, "m": params.m, "depth": depth,
-         "grid": asdict(grid)},
+        {"n": n, "j": j, "m": m_order, "depth": depth, "grid": asdict(grid)},
     )
-    claims = partial(_hankel_claims, params.n, params.j, params.m, depth)
+    claims = partial(_hankel_claims, n, j, m_order, depth)
     b.record_all(*_on_grid(grid), claims, strict=False)
     return b.done()
 

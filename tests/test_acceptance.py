@@ -10,12 +10,8 @@ from mpmath import mp, mpf
 
 from polydgamma import (
     AsymptoticParams,
-    FParams,
-    GParams,
     Grid,
-    HankelParams,
     PolyDoubleArg,
-    SubAddParams,
     audit_identities,
     check_F_cm,
     check_G_convexity,
@@ -95,9 +91,9 @@ def test_criterion_05_F_sharpness():
     ok = True
     for n in (3, 4, 5):
         lo, hi = (n - 2) / (n - 1), n / (n + 1)
-        ok &= check_F_cm(FParams(n, lo, 6), grid).passed
-        ok &= check_F_cm(FParams(n, hi, 6), grid).passed
-        mid = check_F_cm(FParams(n, (lo + hi) / 2, 6), grid)
+        ok &= check_F_cm(n, lo, 6, grid).passed
+        ok &= check_F_cm(n, hi, 6, grid).passed
+        mid = check_F_cm(n, (lo + hi) / 2, 6, grid)
         ok &= (not mid.passed) and bool(mid.counterexamples)
     _verdict(5, "F-pattern sharpness", ok)
 
@@ -134,17 +130,16 @@ def test_criterion_07_lemma_I1_negative():
 def test_criterion_08_inequality_suite():
     ok = check_turan(2, Grid(0.05, 4.0, 60, "linear")).passed
     for n, r_off in ((2, 1), (2, 0), (3, 0), (3, 1)):
-        rep = check_subadditivity(SubAddParams(n, r_off, 2.0, 150, 0))
+        rep = check_subadditivity(n, r_off, 2.0, 150, 0)
         ok &= rep.passed and not rep.counterexamples
     for r_exp in (1.0, 2.0, -0.2, -0.6):
-        rep = check_G_convexity(GParams(3, r_exp), Grid(0.1, 20.0, 50, "log"))
+        rep = check_G_convexity(3, r_exp, Grid(0.1, 20.0, 50, "log"))
         ok &= rep.passed and not rep.counterexamples
     ok &= check_cauchy_schwarz(3, Grid(0.05, 50.0, 50, "log")).passed
     for n in (2, 3):
         for j in (1, 2):
             for m in (1, 2, 3):
-                rep = check_hankel_cm(HankelParams(n, j, m), 1,
-                                      Grid(0.05, 50.0, 30, "log"))
+                rep = check_hankel_cm(n, j, m, 1, Grid(0.05, 50.0, 30, "log"))
                 ok &= rep.passed and not rep.counterexamples
     _verdict(8, "inequality suite", ok)
 

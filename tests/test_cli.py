@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, output formats, figure CSVs."""
 
 import csv
+import inspect
 import json
 import sys
 import time
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 from mpmath import mpf
 
-from polydgamma import CheckReport, psi2_cached
-from polydgamma.cli import main
+from polydgamma import CheckReport, psi2_cached, verify
+from polydgamma.cli import CHECKS, main
 from polydgamma.verify import _f_derivative
 
 REPO = Path(__file__).resolve().parent.parent
@@ -226,6 +227,24 @@ class TestCheckJson:
         main(["limit", "--n", "3", "--x-max", "10000", "--format", "json"])
         d = json.loads(capsys.readouterr().out)
         assert abs(d["scaled_value"] - d["limit"]) < 4e-4
+
+
+class TestCheckTable:
+    """cli.CHECKS is the one table of check defaults: each id runs a
+    verify.check_* function itself, whose parameters are the row's keys."""
+
+    @pytest.mark.parametrize("cid", sorted(CHECKS))
+    def test_row_is_a_verify_check(self, cid):
+        call, defaults = CHECKS[cid]
+        assert call.__name__.startswith("check_")
+        assert getattr(verify, call.__name__) is call
+        assert list(inspect.signature(call).parameters) == list(defaults)
+
+    def test_checks_take_no_defaults(self):
+        names = [n for n in vars(verify) if n.startswith("check_")]
+        for name in names + ["lemma_I1_value"]:
+            for param in inspect.signature(getattr(verify, name)).parameters.values():
+                assert param.default is param.empty, (name, param.name)
 
 
 class TestAuditJson:

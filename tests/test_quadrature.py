@@ -171,3 +171,15 @@ class TestRemainderIntegral:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="does not fit a finite double"):
                 call()
+
+    @pytest.mark.parametrize("p, decades", [(1, (38, 40)), (3, (30, 32))])
+    def test_sweep_toward_overflow_warns_nothing(self, p, decades):
+        # Where the panels overflow part-way (x = 10^-38.75 at p = 1), the
+        # final sum once added inf to -inf and warned before DomainError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(4 * decades[0], 4 * decades[1] + 1):
+                try:
+                    _remainder_integral(p, 10.0 ** (-k / 4), 3)
+                except DomainError:
+                    pass

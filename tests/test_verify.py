@@ -15,12 +15,8 @@ from mpmath import mp, mpf
 from polydgamma import (
     CheckReport,
     DomainError,
-    FParams,
-    GParams,
     Grid,
-    HankelParams,
     PolyDoubleArg,
-    SubAddParams,
     audit_identities,
     check_F_cm,
     check_G_convexity,
@@ -106,21 +102,21 @@ class TestMonotonicityChecks:
 class TestFCheck:
     def test_boundary_omegas_pass(self):
         grid = Grid(0.05, 50.0, 15, "log")
-        low = check_F_cm(FParams(3, 1 / 2, 4), grid)
-        high = check_F_cm(FParams(3, 3 / 4, 4), grid)
+        low = check_F_cm(3, 1 / 2, 4, grid)
+        high = check_F_cm(3, 3 / 4, 4, grid)
         assert low.passed and high.passed
 
     def test_gap_fails_both_patterns(self):
-        r = check_F_cm(FParams(3, 0.6, 3), Grid(0.05, 50.0, 15, "log"))
+        r = check_F_cm(3, 0.6, 3, Grid(0.05, 50.0, 15, "log"))
         assert not r.passed
         assert r.counterexamples
         assert set(r.summary["first_failure"]) == {"F", "-F"}
 
     def test_params_domain(self):
         with pytest.raises(DomainError):
-            FParams(2, 0.5)
+            check_F_cm(2, 0.5, 6, SMALL)
         with pytest.raises(DomainError):
-            FParams(3, 0.5, derivative_depth=-1)
+            check_F_cm(3, 0.5, -1, SMALL)
 
 
 class TestLemmaI1:
@@ -130,12 +126,12 @@ class TestLemmaI1:
 
     def test_negativity(self):
         for n in (3, 4):
-            r = check_lemma_I1(n, Grid(1.01, 1.99, 10, "linear"))
+            r = check_lemma_I1(n, Grid(1.01, 1.99, 10, "linear"), 1e-9)
             assert r.passed and not r.counterexamples
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            lemma_I1_value(2, 1.0)
+            lemma_I1_value(2, 1.0, 1e-9)
         with pytest.raises(DomainError):
             verify.lemma_I1_grid(2, np.array([1.0]))
         for tol in (0.0, -1.0):
@@ -156,74 +152,74 @@ class TestLemmaI1:
     def test_escalates_where_float_error_exceeds_tol(self):
         grid = Grid(5, 30, 3, "linear")
         _, error = verify.lemma_I1_grid(3, np.array(grid.points(), dtype=float))
-        r = check_lemma_I1(3, grid)
+        r = check_lemma_I1(3, grid, 1e-9)
         assert 0 < r.summary["escalated"] == np.count_nonzero(error > 1e-9)
         assert [w["status"] for w in r.witnesses] == ["strict"] * 3
         assert r.passed and not r.counterexamples
 
     def test_default_suite_rows_decide_in_float64(self):
         for n in (3, 4):
-            r = check_lemma_I1(n, Grid(1.01, 1.99, 12, "linear"))
+            r = check_lemma_I1(n, Grid(1.01, 1.99, 12, "linear"), 1e-9)
             assert r.summary["escalated"] == 0
 
 
 class TestSubadditivity:
     def test_odd_order_subadditive_with_sharp_bound(self):
-        r = check_subadditivity(SubAddParams(2, 1, 2.0, 100, 0))
+        r = check_subadditivity(2, 1, 2.0, 100, 0)
         assert r.passed
         labels = {w["label"] for w in r.witnesses}
         assert {"plain", "sharp", "midpoint"} <= labels
 
     def test_even_order_superadditive(self):
-        r = check_subadditivity(SubAddParams(2, 0, 2.0, 100, 0))
+        r = check_subadditivity(2, 0, 2.0, 100, 0)
         assert r.passed
         assert r.params["mode"] == "superadditive"
 
     def test_midpoint_attainment_exact(self):
-        r = check_subadditivity(SubAddParams(3, 0, 1.5, 50, 0))
+        r = check_subadditivity(3, 0, 1.5, 50, 0)
         mid = [w for w in r.witnesses if w["label"] == "midpoint"]
         assert len(mid) == 1 and mid[0]["status"] == "equality"
         assert abs(mid[0]["margin"]) < 1e-12
 
     def test_no_sample_pair_leaves_the_midpoint(self):
         # The single sample of seed 1 lies on the triangle's edge and is dropped.
-        r = check_subadditivity(SubAddParams(2, 0, 1.0, 1, 1))
+        r = check_subadditivity(2, 0, 1.0, 1, 1)
         assert r.passed and [w["label"] for w in r.witnesses] == ["midpoint"]
 
     def test_deterministic(self):
-        a = check_subadditivity(SubAddParams(2, 1, 2.0, 60, 7))
-        b = check_subadditivity(SubAddParams(2, 1, 2.0, 60, 7))
+        a = check_subadditivity(2, 1, 2.0, 60, 7)
+        b = check_subadditivity(2, 1, 2.0, 60, 7)
         assert a.to_dict() == b.to_dict()
 
     def test_seed_changes_samples(self):
-        a = check_subadditivity(SubAddParams(2, 1, 2.0, 60, 0))
-        b = check_subadditivity(SubAddParams(2, 1, 2.0, 60, 1))
+        a = check_subadditivity(2, 1, 2.0, 60, 0)
+        b = check_subadditivity(2, 1, 2.0, 60, 1)
         assert a.to_dict() != b.to_dict()
 
 
 class TestGConvexity:
     def test_positive_exponent_convex(self):
-        r = check_G_convexity(GParams(3, 1.0), SMALL)
+        r = check_G_convexity(3, 1.0, SMALL)
         assert r.passed and r.summary["expected"] == "convex"
 
     def test_small_negative_concave_superadditive(self):
-        r = check_G_convexity(GParams(3, -0.2), SMALL)
+        r = check_G_convexity(3, -0.2, SMALL)
         assert r.passed and r.summary["expected"] == "concave"
         assert r.summary["additive_mode"] == "superadditive"
 
     def test_large_negative_convex_subadditive(self):
-        r = check_G_convexity(GParams(3, -0.6), SMALL)
+        r = check_G_convexity(3, -0.6, SMALL)
         assert r.passed and r.summary["expected"] == "convex"
         assert r.summary["additive_mode"] == "subadditive"
 
     def test_gap_unasserted_shows_both_signs(self):
-        r = check_G_convexity(GParams(3, -0.3), Grid(0.1, 10.0, 40, "log"))
+        r = check_G_convexity(3, -0.3, Grid(0.1, 10.0, 40, "log"))
         assert r.passed and r.summary["expected"] == "unasserted"
         assert set(r.summary["observed_signs"]) == {-1.0, 1.0}
 
     def test_zero_exponent_rejected(self):
         with pytest.raises(DomainError):
-            GParams(3, 0.0)
+            check_G_convexity(3, 0.0, SMALL)
 
 
 HANKEL_GRID = Grid(0.05, 50.0, 30, "log")
@@ -279,20 +275,19 @@ class TestHankel:
         # At x = 50 the matrix of (2, 3, 4) is ill-conditioned (elimination
         # pivots span 3e17), yet its determinant, 6.756e-61, is good to 15
         # digits in float64 and clears its error bound.
-        r = check_hankel_cm(HankelParams(2, 3, 4), 1, Grid(25.0, 50.0, 2))
+        r = check_hankel_cm(2, 3, 4, 1, Grid(25.0, 50.0, 2))
         assert r.summary["escalated"] == 0
         assert [w["status"] for w in r.witnesses] == ["strict"] * 4
         assert abs(r.witnesses[2]["lhs"] / 6.756009271072784e-61 - 1) < 1e-14
 
     def test_sign_and_decrease(self):
-        for params in (HankelParams(2, 1, 1), HankelParams(2, 1, 2),
-                       HankelParams(3, 2, 1)):
-            r = check_hankel_cm(params, 1, SMALL)
+        for n, j, m in ((2, 1, 1), (2, 1, 2), (3, 2, 1)):
+            r = check_hankel_cm(n, j, m, 1, SMALL)
             assert r.passed and not r.counterexamples
 
     def test_order_cap(self):
         with pytest.raises(DomainError):
-            HankelParams(2, 1, 5)
+            check_hankel_cm(2, 1, 5, 1, SMALL)
 
 
 class TestCauchySchwarz:
@@ -446,9 +441,9 @@ class TestFloatTier:
     @given(st.integers(2, 20), st.integers(0, 3), st.floats(-1.0, 1.5),
            st.integers(1, 12), st.integers(0, 20))
     def test_subadditivity_tiers_agree(self, n, r, m_exp, samples, seed):
-        params = SubAddParams(n, r, 10.0**m_exp, samples, seed)
-        mixed = check_subadditivity(params)
-        exact = _thirty_digit_only(check_subadditivity, params)
+        params = (n, r, 10.0**m_exp, samples, seed)
+        mixed = check_subadditivity(*params)
+        exact = _thirty_digit_only(check_subadditivity, *params)
         assert _statuses(mixed) == _statuses(exact)
         assert mixed.summary["sharp_bound"] == exact.summary["sharp_bound"]
 
@@ -457,9 +452,9 @@ class TestFloatTier:
     @given(st.integers(3, 8), st.floats(0.0, 1.0), st.integers(0, 4), _EXPONENTS,
            _SPANS, st.integers(2, 6))
     def test_F_cm_tiers_agree(self, n, omega, depth, lo_exp, span, count):
-        params, grid = FParams(n, omega, depth), _grid(lo_exp, span, count, "log")
-        mixed = check_F_cm(params, grid)
-        exact = _thirty_digit_only(check_F_cm, params, grid)
+        grid = _grid(lo_exp, span, count, "log")
+        mixed = check_F_cm(n, omega, depth, grid)
+        exact = _thirty_digit_only(check_F_cm, n, omega, depth, grid)
         assert _statuses(mixed) == _statuses(exact)
         assert mixed.summary["first_failure"] == exact.summary["first_failure"]
 
@@ -468,9 +463,9 @@ class TestFloatTier:
     @given(st.integers(3, 12), st.floats(-2.0, 2.0).filter(lambda r: r != 0),
            _EXPONENTS, _SPANS, st.integers(2, 6))
     def test_G_convexity_tiers_agree(self, n, r, lo_exp, span, count):
-        params, grid = GParams(n, r), _grid(lo_exp, span, count, "log")
-        mixed = check_G_convexity(params, grid)
-        exact = _thirty_digit_only(check_G_convexity, params, grid)
+        grid = _grid(lo_exp, span, count, "log")
+        mixed = check_G_convexity(n, r, grid)
+        exact = _thirty_digit_only(check_G_convexity, n, r, grid)
         assert _statuses(mixed) == _statuses(exact)
         assert mixed.summary["observed_signs"] == exact.summary["observed_signs"]
 
@@ -479,16 +474,16 @@ class TestFloatTier:
     @given(st.integers(2, 6), st.integers(1, 3), st.integers(1, 3), st.integers(0, 1),
            _EXPONENTS, _SPANS, st.integers(2, 6))
     def test_hankel_tiers_agree(self, n, j, m, depth, lo_exp, span, count):
-        params, grid = HankelParams(n, j, m), _grid(lo_exp, span, count, "log")
-        assert _statuses(check_hankel_cm(params, depth, grid)) == _statuses(
-            _thirty_digit_only(check_hankel_cm, params, depth, grid)
+        grid = _grid(lo_exp, span, count, "log")
+        assert _statuses(check_hankel_cm(n, j, m, depth, grid)) == _statuses(
+            _thirty_digit_only(check_hankel_cm, n, j, m, depth, grid)
         )
 
     def test_default_grids_decide_in_float64(self):
         # Only the midpoint equality, whose margin is zero, is recomputed.
         assert check_cm(3, 5, Grid(0.05, 50.0, 40, "log")).summary["escalated"] == 0
         assert check_ratio_bounds(4, Grid(0.05, 1e4, 40, "log")).summary["escalated"] == 0
-        r = check_subadditivity(SubAddParams(2, 1, 2.0, 80, 0))
+        r = check_subadditivity(2, 1, 2.0, 80, 0)
         assert r.summary["escalated"] == 1
 
     def test_values_beyond_a_double_escalate(self):
