@@ -4,7 +4,6 @@ their monotonicity/inequality theory, and an audit of printed identities."""
 
 from .errors import ConvergenceError, DomainError
 from .polydg import (
-    AsymptoticParams,
     PolyDoubleArg,
     log_barnes_g,
     psi2_asymptotic,
@@ -35,7 +34,6 @@ from .verify import (
 )
 
 __all__ = [
-    "AsymptoticParams",
     "AuditEntry",
     "CheckReport",
     "ConvergenceError",

@@ -19,6 +19,7 @@ from mpmath import mp, mpf
 from . import verify
 from .errors import ConvergenceError, DomainError
 from .polydg import (
+    METHODS,
     PolyDoubleArg,
     psi2_cached,
     psi2_didouble,
@@ -373,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x", type=_finite_float, required=True)
     p_eval.add_argument(
         "--method",
-        choices=("auto", "series", "polygamma", "integral", "asymptotic"),
+        choices=METHODS,
         default="auto",
         help="evaluation route; auto is the canonical series, the others are "
         "explicit cross-checks that the identity audit also runs",

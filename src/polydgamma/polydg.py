@@ -43,11 +43,14 @@ from .specfun import (
     rounding_unit,
 )
 
-METHODS = ("series", "polygamma", "integral", "asymptotic", "auto")
+METHODS = ("auto", "series", "polygamma", "integral", "asymptotic")
 
 # Digits of the integral route.  Its values are good to about 1e-20
 # relative; at 30 digits mp.quad takes about twice as long.
 INTEGRAL_DPS = 20
+
+# Bernoulli blocks of the asymptotic route; the first omitted one is its error.
+ASYMPTOTIC_TERMS = 6
 
 
 @dataclass(frozen=True)
@@ -63,23 +66,6 @@ class PolyDoubleArg:
         object.__setattr__(self, "x", mpf(self.x))
         if not self.x > 0:
             raise DomainError("argument must be positive")
-
-
-@dataclass(frozen=True)
-class AsymptoticParams:
-    """Number of Bernoulli blocks N and whether the exact remainder is added.
-
-    With ``include_remainder`` the expansion is an identity, not merely
-    asymptotic; without it the first omitted Bernoulli term bounds the error.
-    """
-
-    terms: int = 6
-    include_remainder: bool = True
-
-    def __post_init__(self):
-        # N blocks read B_0..B_2N+2.
-        if not 1 <= self.terms <= len(BERNOULLI) // 2 - 1:
-            raise DomainError("terms must fit the Bernoulli table capacity")
 
 
 def _kernel_density(n: int, t):
@@ -188,8 +174,11 @@ def _remainder_integral(p: int, x, n_blocks: int, first: int = 0):
     grows like the log of x or 1/x.  Returns float (value, error): rule errors,
     the rounding and the Taylor cut on each segment [a, b] (in units of
     2^-53 of the majorant), and the bound beyond.  Raises DomainError where
-    one of them does not fit a finite double (x = 1e-200 at p = 0, N = 3).
+    one of them does not fit a finite double (x = 1e-200 at p = 0, N = 3),
+    and before any evaluation for N outside 1..31 (the expansion reads B_2N+2).
     """
+    if not 1 <= n_blocks <= len(BERNOULLI) // 2 - 1:
+        raise DomainError("terms must fit the Bernoulli table capacity")
     x = float(x)
     k = np.arange(len(_TAYLOR))
     subtracted = (first <= k) & (k <= 2 * n_blocks)
@@ -220,22 +209,34 @@ def _remainder_integral(p: int, x, n_blocks: int, first: int = 0):
     def beyond(b):
         """Bound on the integral of |integrand| over [b, inf)."""
         ks, cs = below if b < _TAYLOR_SPLIT else above
-        # int_b^inf t^m e^(-xt) dt for m = 0, 1, ..., by parts.
-        moments = [math.exp(-x * b) / x]
-        for m in range(1, p + ks.max() + 1):
-            moments.append((math.exp(m * math.log(b) - x * b) + m * moments[-1]) / x)
-        bound = sum(abs(c) * moments[p + i] for i, c in zip(ks, cs))
+        # |c| int_b^inf t^m e^(-xt) dt = |c| m!/x^(m+1) Q(m+1, xb), Q being the
+        # regularized upper incomplete gamma function: Q(0, z) = 0 and
+        # Q(m+1, z) = Q(m, z) + e^-z z^m/m!.  The product is taken in logs,
+        # so a small |c| keeps it finite where m!/x^(m+1) alone overflows.
+        z, log_x = x * b, math.log(x)
+        reg = [0.0]
+        for m in range(p + ks.max() + 1):
+            reg.append(reg[-1] + math.exp(m * math.log(z) - z - math.lgamma(m + 1)))
+
+        def moment(m, c):
+            if not (c and reg[m + 1]):
+                return 0.0
+            log_c = math.log(abs(c)) + math.log(reg[m + 1])
+            return math.exp(log_c + math.lgamma(m + 1) - (m + 1) * log_x)
+
+        bound = sum(moment(p + i, c) for i, c in zip(ks, cs))
         if b < _TAYLOR_SPLIT:
             # The Taylor cut is at most 0.3 times the k = 2N+2 term.
             return 1.3 * bound + beyond(_TAYLOR_SPLIT)
-        return bound + moments[p]
+        return bound + moment(p, 1.0)
 
     value = error = size = rest = 0.0
-    # At the peak segment beyond()'s moment of order p + 2N is at least 0.2
-    # of (p+2N)!/x^(p+2N+1); past 8 times the largest double the loop would
-    # overflow there, so it does not start.
+    # At the peak segment beyond()'s term of order p + 2N is at least 0.2 of
+    # |B_2N|/(2N)! (p+2N)!/x^(p+2N+1); past 8 times the largest double the
+    # loop would overflow there, so it does not start.
     top = p + 2 * n_blocks
-    if x > 0 and math.lgamma(top + 1) - (top + 1) * math.log(x) > _LOG_8_DBL_MAX:
+    log_top = math.log(abs(_TAYLOR[2 * n_blocks])) + math.lgamma(top + 1)
+    if x > 0 and log_top - (top + 1) * math.log(x) > _LOG_8_DBL_MAX:
         rest = math.inf
     with np.errstate(all="ignore"):
         try:
@@ -257,13 +258,13 @@ def _remainder_integral(p: int, x, n_blocks: int, first: int = 0):
     return float(value), float(error + rest)
 
 
-def asymptotic_remainder(arg: PolyDoubleArg, params: AsymptoticParams) -> EvalResult:
+def asymptotic_remainder(arg: PolyDoubleArg, terms: int) -> EvalResult:
     """Exact remainder term of the expansion, by :func:`_remainder_integral`.
 
     tau_n(x) = (-1)^n int_0^inf t^(n-2) e^(-xt)
                (t/(e^t-1) - sum_{k=0}^{2N} B_k t^k / k!) dt
     """
-    value, error = _remainder_integral(arg.n - 2, arg.x, params.terms)
+    value, error = _remainder_integral(arg.n - 2, arg.x, terms)
     return EvalResult(
         value=mpf(-1) ** arg.n * mpf(value), error=error, method="remainder-quadrature"
     )
@@ -308,29 +309,26 @@ def asymptotic_closed_form(arg: PolyDoubleArg) -> EvalResult:
     return EvalResult(value=value, error=err, method="asymptotic-closed-form")
 
 
-def psi2_asymptotic(
-    arg: PolyDoubleArg, params: AsymptoticParams = AsymptoticParams()
-) -> EvalResult:
+def psi2_asymptotic(arg: PolyDoubleArg, terms: int) -> EvalResult:
     """psi2^(n)(x+1) from the shifted-argument expansion at x = arg.x.
 
     The closed-form part (:func:`asymptotic_closed_form`) plus sigma_n(x)
-    and, when requested, the exact remainder tau_n(x).
+    and the exact remainder tau_n(x) of N = ``terms`` Bernoulli blocks: an
+    identity, not merely an asymptotic expansion.  tau runs first, so an N
+    outside 1..31 raises DomainError before any other evaluation.
     """
+    tau = asymptotic_remainder(arg, terms)
+    sigma, _ = asymptotic_bernoulli_sum(arg, terms)
     closed = asymptotic_closed_form(arg)
-    sigma, omitted = asymptotic_bernoulli_sum(arg, params.terms)
-    value = closed.value + sigma
-    err = closed.error
-    if params.include_remainder:
-        tau = asymptotic_remainder(arg, params)
-        value += tau.value
-        err += tau.error
-    else:
-        err += float(omitted)
-    return EvalResult(value=value, error=err + 1e-30, method="asymptotic")
+    return EvalResult(
+        value=closed.value + sigma + tau.value,
+        error=closed.error + tau.error + 1e-30,
+        method="asymptotic",
+    )
 
 
 def _via_asymptotic(arg: PolyDoubleArg) -> EvalResult:
-    # psi2^(n)(x) = expansion at x-1; recurrence-shift first if x is small.
+    # psi2^(n)(x) = expansion at x-1 less tau; recurrence-shift first if x is small.
     n, x = arg.n, arg.x
     shift = max(0, int(mp.ceil(SHIFT_THRESHOLD + 1 - x)))
     head = mpf(0)
@@ -339,12 +337,13 @@ def _via_asymptotic(arg: PolyDoubleArg) -> EvalResult:
         pg = polygamma(n, x + i)
         head += pg.value
         head_err += pg.error
-    base = psi2_asymptotic(
-        PolyDoubleArg(n, x + shift - 1),
-        AsymptoticParams(terms=6, include_remainder=False),
-    )
+    base = PolyDoubleArg(n, x + shift - 1)
+    closed = asymptotic_closed_form(base)
+    sigma, omitted = asymptotic_bernoulli_sum(base, ASYMPTOTIC_TERMS)
     return EvalResult(
-        value=head + base.value, error=head_err + base.error, method="asymptotic"
+        value=head + (closed.value + sigma),
+        error=head_err + (closed.error + float(omitted) + 1e-30),
+        method="asymptotic",
     )
 
 

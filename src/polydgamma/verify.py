@@ -38,7 +38,6 @@ from mpmath import mp, mpf
 
 from .errors import ConvergenceError, DomainError
 from .polydg import (
-    AsymptoticParams,
     PolyDoubleArg,
     _kernel_density,
     _remainder_integral,
@@ -77,8 +76,8 @@ class Grid:
 
     lo: float
     hi: float
-    count: int = 200
-    spacing: str = "log"
+    count: int
+    spacing: str
 
     def __post_init__(self):
         if not 0 < self.lo < self.hi:
@@ -968,9 +967,7 @@ def audit_identities() -> list:
     dev, err = 0.0, 0.0
     for n, x, N in [(2, mpf(2), 3), (3, mpf(10), 4), (5, mpf(1), 6)]:
         ref = psi2_series(PolyDoubleArg(n, x + 1))
-        asym = psi2_asymptotic(
-            PolyDoubleArg(n, x), AsymptoticParams(terms=N, include_remainder=True)
-        )
+        asym = psi2_asymptotic(PolyDoubleArg(n, x), N)
         dev = max(dev, abs(float(ref.value - asym.value)))
         err = max(err, ref.error + asym.error)
     entries.append(
@@ -987,7 +984,7 @@ def audit_identities() -> list:
     # Printed sigma: exponent off by one power of x and one factorial step.
     n, x, N = 3, mpf(2), 4
     ref = psi2_series(PolyDoubleArg(n, x + 1))
-    tau = asymptotic_remainder(PolyDoubleArg(n, x), AsymptoticParams(terms=N))
+    tau = asymptotic_remainder(PolyDoubleArg(n, x), N)
     closed = asymptotic_closed_form(PolyDoubleArg(n, x)).value
     # The printed block sum is the derived one at order n - 1.
     sigma_printed, _ = asymptotic_bernoulli_sum(PolyDoubleArg(n - 1, x), N)

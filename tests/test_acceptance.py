@@ -9,7 +9,6 @@ import math
 from mpmath import mp, mpf
 
 from polydgamma import (
-    AsymptoticParams,
     Grid,
     PolyDoubleArg,
     audit_identities,
@@ -150,10 +149,7 @@ def test_criterion_09_asymptotic_identity():
         for x in (1, 2, 5, 10, 20):
             for N in (2, 4, 6):
                 ref = psi2_series(PolyDoubleArg(n, mpf(x) + 1)).value
-                asym = psi2_asymptotic(
-                    PolyDoubleArg(n, mpf(x)),
-                    AsymptoticParams(terms=N, include_remainder=True),
-                ).value
+                asym = psi2_asymptotic(PolyDoubleArg(n, mpf(x)), N).value
                 ok &= abs(ref - asym) <= 1e-9
     _verdict(9, "asymptotic identity with remainder", ok)
 

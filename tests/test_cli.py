@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, output formats, figure CSVs."""
 
 import csv
+import dataclasses
 import inspect
 import json
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from mpmath import mpf
 
+import polydgamma
 from polydgamma import CheckReport, psi2_cached, verify
 from polydgamma.cli import CHECKS, main
 from polydgamma.verify import _f_derivative
@@ -245,6 +247,19 @@ class TestCheckTable:
         for name in names + ["lemma_I1_value"]:
             for param in inspect.signature(getattr(verify, name)).parameters.values():
                 assert param.default is param.empty, (name, param.name)
+
+    def test_public_api_takes_no_defaults(self):
+        # psi2_eval's route is the one default outside CHECKS; a Grid is
+        # always spelled out in full.
+        for name in polydgamma.__all__:
+            obj = getattr(polydgamma, name)
+            if not inspect.isfunction(obj):
+                continue
+            for param in inspect.signature(obj).parameters.values():
+                if (name, param.name) != ("psi2_eval", "method"):
+                    assert param.default is param.empty, (name, param.name)
+        for field in dataclasses.fields(verify.Grid):
+            assert field.default is dataclasses.MISSING, field.name
 
 
 class TestAuditJson:

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from polydgamma import (
-    AsymptoticParams,
     DomainError,
     PolyDoubleArg,
     log_barnes_g,
@@ -28,7 +27,13 @@ from polydgamma import (
     psi2_series,
     psi2_zeta_form,
 )
-from polydgamma.polydg import _kernel_density, psi2_grid
+from polydgamma.polydg import (
+    _kernel_density,
+    asymptotic_bernoulli_sum,
+    asymptotic_closed_form,
+    asymptotic_remainder,
+    psi2_grid,
+)
 
 # Independent 50-digit oracles (frozen).
 PSI2_ORACLE = {
@@ -67,17 +72,16 @@ class TestDomain:
         with pytest.raises(DomainError):
             psi2_eval(PolyDoubleArg(2, 1.0), method="magic")
 
-    def test_asymptotic_params_capacity(self):
-        with pytest.raises(DomainError):
-            AsymptoticParams(terms=0)
-        with pytest.raises(DomainError):
-            AsymptoticParams(terms=1000)
+    @pytest.mark.parametrize(
+        "route", [psi2_asymptotic, asymptotic_remainder], ids=lambda f: f.__name__
+    )
+    def test_asymptotic_terms_capacity(self, route):
+        arg = PolyDoubleArg(2, mpf(15))
         # N blocks read B_2N+2, so N = 32 would pass the table's end (B_64).
-        with pytest.raises(DomainError):
-            AsymptoticParams(terms=32)
-        psi2_asymptotic(
-            PolyDoubleArg(2, mpf(15)), AsymptoticParams(terms=31, include_remainder=False)
-        )
+        for terms in (0, 32, 1000):
+            with pytest.raises(DomainError, match="Bernoulli table capacity"):
+                route(arg, terms)
+        route(arg, 31)
 
 
 class TestRoutesAgainstOracles:
@@ -205,17 +209,18 @@ class TestStructure:
     def test_asymptotic_identity(self):
         for n, x, N in [(2, 2, 3), (3, 10, 4), (5, 1, 6), (4, 0.7, 5)]:
             ref = psi2_series(PolyDoubleArg(n, mpf(x) + 1))
-            asym = psi2_asymptotic(
-                PolyDoubleArg(n, mpf(x)),
-                AsymptoticParams(terms=N, include_remainder=True),
-            )
+            asym = psi2_asymptotic(PolyDoubleArg(n, mpf(x)), N)
             assert abs(ref.value - asym.value) <= asym.error + ref.error + 1e-12
 
     def test_asymptotic_without_remainder_error_honest(self):
         arg = PolyDoubleArg(2, mpf(15))
         ref = psi2_series(PolyDoubleArg(2, mpf(16)))
-        asym = psi2_asymptotic(arg, AsymptoticParams(terms=4, include_remainder=False))
-        assert abs(ref.value - asym.value) <= 10 * asym.error + 1e-20
+        # The closed form plus sigma, without tau: the first omitted block
+        # is the error.
+        closed = asymptotic_closed_form(arg)
+        sigma, omitted = asymptotic_bernoulli_sum(arg, 4)
+        error = closed.error + float(omitted) + 1e-30
+        assert abs(ref.value - (closed.value + sigma)) <= 10 * error + 1e-20
 
 
 class TestDiDouble:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from polydgamma import AsymptoticParams, DomainError, PolyDoubleArg, psi2_asymptotic
+from polydgamma import DomainError, PolyDoubleArg, psi2_asymptotic
 from polydgamma.polydg import _remainder_integral
 from polydgamma.quadrature import (
     HIGH_ORDER,
@@ -119,6 +119,22 @@ def _remainder_reference(p, x, n_blocks, first):
         return mp.quad(integrand, sorted({mpf(0), peak, mpf(3)}) + [mp.inf])
 
 
+def _remainder_closed_form(p, x, n_blocks, first):
+    """The remainder integral in closed form at 60 digits,
+
+    (p+1)! zeta(p+2, x+1) - sum_{k=first}^{2N} B_k (p+k)! / (k! x^(p+k+1)),
+
+    from t/(e^t - 1) = sum_{j>=1} t e^(-jt) term by term."""
+    with mp.workdps(60):
+        x = mpf(x)
+        value = mp.factorial(p + 1) * mp.zeta(p + 2, x + 1)
+        for k in range(first, 2 * n_blocks + 1):
+            value -= mp.bernoulli(k) * mp.factorial(p + k) / (
+                mp.factorial(k) * x ** (p + k + 1)
+            )
+        return value
+
+
 # (p, x, N, first): the audit's four derived remainders tau_n (p = n - 2),
 # its printed one (p = n - 3, the Bernoulli sum from k = 1), and (4, 0.5, 6).
 REMAINDER_CASES = [
@@ -158,10 +174,8 @@ class TestRemainderIntegral:
         [
             lambda: _remainder_integral(0, 1e-200, 3),
             lambda: _remainder_integral(0, 0.0, 3),
-            lambda: psi2_asymptotic(PolyDoubleArg(2, "1e-300")),
-            lambda: psi2_asymptotic(
-                PolyDoubleArg(62, "1e-3"), AsymptoticParams(terms=6)
-            ),
+            lambda: psi2_asymptotic(PolyDoubleArg(2, "1e-300"), 6),
+            lambda: psi2_asymptotic(PolyDoubleArg(62, "1e-3"), 6),
         ],
         ids=["tau-x-1e-200", "tau-x-0", "psi2-x-1e-300", "psi2-n-62-x-1e-3"],
     )
@@ -171,6 +185,22 @@ class TestRemainderIntegral:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="does not fit a finite double"):
                 call()
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_returns_wherever_tau_fits_a_double(self, first):
+        # At p = 0, N = 3, tau is about -1/(42 x^7): -2.4e299 at x = 1e-43,
+        # -8.5e307 at 6e-45 and past the largest double below 5.4e-45.  The
+        # bound beyond the panels once summed the moments 6!/x^7 unscaled by
+        # |B_6|/6! and overflowed from x = 1.78e-44 down.
+        xs = [10.0 ** (-k / 4) for k in range(172, 177)] + [1.78e-44, 6e-45]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in xs:
+                value, error = _remainder_integral(0, x, 3, first)
+                ref = _remainder_closed_form(0, x, 3, first)
+                assert abs(value - ref) <= error <= 1e-13 * abs(ref), x
+            with pytest.raises(DomainError, match="does not fit a finite double"):
+                _remainder_integral(0, 5e-45, 3, first)
 
     @pytest.mark.parametrize("p, decades", [(1, (38, 40)), (3, (30, 32))])
     def test_sweep_toward_overflow_warns_nothing(self, p, decades):

@@ -52,13 +52,13 @@ HANKEL_ORACLE = "33.4389484630828953151"
 class TestGrid:
     def test_invariants(self):
         with pytest.raises(DomainError):
-            Grid(0.0, 1.0)
+            Grid(0.0, 1.0, 2, "log")
         with pytest.raises(DomainError):
-            Grid(2.0, 1.0)
+            Grid(2.0, 1.0, 2, "log")
         with pytest.raises(DomainError):
-            Grid(1.0, 2.0, count=1)
+            Grid(1.0, 2.0, 1, "log")
         with pytest.raises(DomainError):
-            Grid(1.0, 2.0, spacing="cubic")
+            Grid(1.0, 2.0, 2, "cubic")
 
     def test_endpoints_included(self):
         for spacing in ("linear", "log"):
@@ -275,7 +275,7 @@ class TestHankel:
         # At x = 50 the matrix of (2, 3, 4) is ill-conditioned (elimination
         # pivots span 3e17), yet its determinant, 6.756e-61, is good to 15
         # digits in float64 and clears its error bound.
-        r = check_hankel_cm(2, 3, 4, 1, Grid(25.0, 50.0, 2))
+        r = check_hankel_cm(2, 3, 4, 1, Grid(25.0, 50.0, 2, "log"))
         assert r.summary["escalated"] == 0
         assert [w["status"] for w in r.witnesses] == ["strict"] * 4
         assert abs(r.witnesses[2]["lhs"] / 6.756009271072784e-61 - 1) < 1e-14
