@@ -309,7 +309,7 @@ def run_figure(args) -> int:
         # F^(k) for k <= 4 at n = 3 reads the orders n-1 .. n+5.
         grids = {m: psi2_grid(m, xa) for m in range(2, 9)}
         columns = [
-            sign * verify._f_derivative(3, omega, k, grids.__getitem__)[0]
+            sign * verify._f_derivative(3, omega, k, grids.__getitem__).value
             for k in range(5)
         ]
     else:

@@ -22,7 +22,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp, mpf
@@ -33,6 +32,7 @@ from .specfun import (
     BERNOULLI,
     CONSTANTS,
     SHIFT_THRESHOLD,
+    Approx,
     EvalResult,
     _EM_WEIGHTS,
     _smallest_term_sum,
@@ -381,20 +381,13 @@ def psi2_cached(n: int, x) -> EvalResult:
     return _cached_value(n, mpf(x), mp.prec)
 
 
-class GridResult(NamedTuple):
-    """psi2^(n) over an array: float64 values and absolute error bounds."""
-
-    value: np.ndarray
-    error: np.ndarray
-
-
 # Head terms summed directly before the Euler-Maclaurin tail of psi2_grid.
 GRID_HEAD_TERMS = 20
 _EM_FLOAT_WEIGHTS = tuple(float(w) for w in _EM_WEIGHTS)
 
 
-def psi2_grid(n: int, x) -> GridResult:
-    """psi2^(n)(x) over a float64 array x in one double-precision pass.
+def psi2_grid(n: int, x) -> Approx:
+    """psi2^(n)(x) over a float64 array x as an :class:`Approx`, in one pass.
 
     S = sum_k (1+k)/(x+k)^(n+1) is H = GRID_HEAD_TERMS head terms plus the
     Euler-Maclaurin sum of f(t) = (b+t)^-n + (1-x)(b+t)^-(n+1), b = x + H.
@@ -454,7 +447,7 @@ def psi2_grid(n: int, x) -> GridResult:
         error = fact * (trunc + rounding)
     if not (np.isfinite(value).all() and np.isfinite(error).all()):
         raise DomainError(f"psi2^({n}) does not fit a finite double on this grid")
-    return GridResult(value, error)
+    return Approx(value, error)
 
 
 def psi2_didouble(x) -> EvalResult:

@@ -57,6 +57,85 @@ class EvalResult:
     method: str
 
 
+# Relative rounding of one float64 operation, rounded to nearest.
+DOUBLE_UNIT = 2.0**-53
+
+
+def _unit(value):
+    return rounding_unit() if isinstance(value, mpf) else DOUBLE_UNIT
+
+
+def _parts(x):
+    return (x.value, x.error) if isinstance(x, Approx) else (x, 0)
+
+
+class Approx:
+    """A value and a bound on its absolute error: mpf numbers, or float64
+    arrays taken elementwise.  Unpacks as ``value, error``.
+
+    Each operation adds what its operands' errors propagate plus one
+    rounding unit of |result|, 2^-53 for float64 and rounding_unit() for
+    mpf: the running error bound of Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed. (SIAM, 2002), eq. (2.5) and section 3.3.
+    Plain numbers are exact operands.  A quotient propagates to first order.
+    ``**`` takes an exact exponent: a square is a product; any other power
+    v^r propagates r v^r dv/v to first order and, as pow is good to one
+    ulp, rounds by two units.
+    """
+
+    __slots__ = ("value", "error")
+    # numpy operands hand over to the reflected operators below.
+    __array_ufunc__ = None
+
+    def __init__(self, value, error):
+        self.value, self.error = value, error
+
+    @classmethod
+    def rounded(cls, value, error=0):
+        """``value``, good to ``error`` before it was rounded once."""
+        return cls(value, error + _unit(value) * abs(value))
+
+    def __iter__(self):
+        return iter((self.value, self.error))
+
+    def __add__(self, other):
+        v, e = _parts(other)
+        return Approx.rounded(self.value + v, self.error + e)
+
+    def __mul__(self, other):
+        v, e = _parts(other)
+        error = abs(self.value) * e + abs(v) * self.error + self.error * e
+        return Approx.rounded(self.value * v, error)
+
+    # A rounded sum or product does not depend on the order of its operands,
+    # nor a rounded difference a - b on whether it is taken as a + (-b).
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __truediv__(self, other):
+        v, e = _parts(other)
+        q = self.value / v
+        return Approx.rounded(q, (self.error + abs(q) * e) / abs(v))
+
+    def __neg__(self):
+        return Approx(-self.value, self.error)
+
+    def __abs__(self):
+        return Approx(abs(self.value), self.error)
+
+    def __pow__(self, r):
+        if r == 2:
+            return self * self
+        p = self.value**r
+        error = abs(r * p) * self.error / abs(self.value)
+        return Approx(p, error + 2 * _unit(p) * abs(p))
+
+
 def _bernoulli_fractions(capacity: int) -> tuple:
     # Defining recurrence: sum_{i=0}^{q} C(q+1, i) B_i = 0 for q >= 1.
     values = [Fraction(1)]

@@ -8,14 +8,15 @@ emit a :class:`CheckReport` with per-point witnesses; the identity audit
 compares each printed representation against the canonical series and
 classifies it as confirmed or discrepant.
 
-Each psi2-based check writes its per-point arithmetic once, as a function
-of a lookup of psi2^(m), and runs it in two tiers.  First over the whole
-grid in float64 (:func:`psi2_grid` arrays), with an error that also covers
-the arithmetic's own rounding, the rounding of the arguments to doubles and
-the 30-digit tier's claimed error; then at 30 digits (:func:`psi2_cached`)
-for the points that float64 does not decide: a margin within the gate, or
-a value that does not fit a double.  So each status is the one the 30-digit
-evaluation reaches; ``summary.escalated`` counts the recomputed points.
+Each psi2-based check writes its claims once, as formulas over psi2^(m)
+values that are :class:`Approx`, whose arithmetic gives each margin its
+error, rounding included.  They run in two tiers.  First over the whole
+grid in float64 (:func:`psi2_grid` arrays), each value's error also
+covering the rounding of the arguments to doubles and the 30-digit tier's
+claimed error; then at 30 digits (:func:`psi2_cached`) for the points that
+float64 does not decide: a margin within the gate, or a value that does not
+fit a double.  So each status is the one the 30-digit evaluation reaches;
+``summary.escalated`` counts the recomputed points.
 The I_1 quadratures follow the same two tiers: one float64 Gauss-Legendre
 pass over the whole grid (:func:`lemma_I1_grid`), then a 30-digit mp.quad
 value (:func:`lemma_I1_value`) where that pass does not decide.
@@ -28,10 +29,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import partial, reduce
-from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp, mpf
@@ -54,7 +55,7 @@ from .polydg import (
     psi2_zeta_form,
 )
 from .quadrature import integrate_de, integrate_panels
-from .specfun import EvalResult, hurwitz_zeta, polygamma, rounding_unit
+from .specfun import DOUBLE_UNIT, Approx, EvalResult, hurwitz_zeta, polygamma
 
 DISCLAIMER = "numerical certification at finite depth/grid; not a symbolic proof"
 
@@ -65,6 +66,12 @@ DISCLAIMER = "numerical certification at finite depth/grid; not a symbolic proof
 STRICTNESS_FACTOR = 10.0
 
 MAX_HANKEL_ORDER = 4
+
+# Work bounds, checked before any evaluation: grid points and sampled pairs
+# of one check, and the derivative depth of check_cm and check_F_cm (an order
+# past 170 sends every point to 30 digits).
+MAX_POINTS = 10_000
+MAX_DEPTH = 50
 
 # Sampled pairs for the additive corollaries of the G_n(x; r) check.
 G_PAIR_SAMPLES = 50
@@ -84,6 +91,8 @@ class Grid:
             raise DomainError("grid must satisfy 0 < lo < hi")
         if self.count < 2:
             raise DomainError("grid needs at least two points")
+        if self.count > MAX_POINTS:
+            raise DomainError(f"grids of more than {MAX_POINTS} points are rejected")
         if self.spacing not in ("linear", "log"):
             raise DomainError("spacing must be 'linear' or 'log'")
 
@@ -119,13 +128,6 @@ class CheckReport:
         return cls(**d)
 
 
-class _Value(NamedTuple):
-    """A value and its absolute error: one number, or a float64 array."""
-
-    value: object
-    error: object
-
-
 # What the float tier adds to each psi2 value's error for the 30-digit tier's
 # own claim, so that a point it decides clears that tier's gate as well:
 # psi2_series claims at most 1.6e-19 relative above its absolute 1e-30 floor
@@ -153,8 +155,7 @@ class _FloatLookup:
     below FLOAT_VALUE_FLOOR.
     """
 
-    unit = 2.0**-53
-    const = staticmethod(float)
+    const = staticmethod(lambda c: Approx.rounded(float(c)))
 
     def __init__(self, args):
         self.columns = [np.array([float(a[i]) for a in args]) for i in range(len(args[0]))]
@@ -167,12 +168,12 @@ class _FloatLookup:
             size = abs(value) + error
             error = (
                 error
-                + 4 * (m + 1) * self.unit * size
+                + 4 * (m + 1) * DOUBLE_UNIT * size
                 + SERIES_CLAIM_REL * size
                 + SERIES_CLAIM_ABS
             )
             self.unfit |= ~(abs(value) >= FLOAT_VALUE_FLOOR)
-            self.cache[m, i] = _Value(value, error)
+            self.cache[m, i] = Approx(value, error)
         return self.cache[m, i]
 
     @staticmethod
@@ -194,18 +195,27 @@ class _FloatLookup:
 class _ThirtyDigitLookup:
     """psi2^(m) at the i-th argument of one point, from the 30-digit series."""
 
-    const = staticmethod(lambda c: c)
+    const = staticmethod(lambda c: Approx.rounded(mpf(c)))
 
     def __init__(self, args):
         self.args = args
-        self.unit = rounding_unit()
 
     def __call__(self, m, i=0):
-        return psi2_cached(m, self.args[i])
+        r = psi2_cached(m, self.args[i])
+        return Approx(r.value, r.error)
 
 
 def _item(a, p):
     return a[p] if np.ndim(a) else a
+
+
+def _plain(claims):
+    """Each claim (tail, label, lhs, rhs) as (tail, label, lhs, rhs, err),
+    plain values with the error of lhs - rhs."""
+    return [
+        (tail, label, *(getattr(x, "value", x) for x in (lhs, rhs)), (lhs - rhs).error)
+        for tail, label, lhs, rhs in claims
+    ]
 
 
 class _ReportBuilder:
@@ -247,23 +257,24 @@ class _ReportBuilder:
     def record_all(self, points, args, claims, strict=True, recorded=True):
         """Evaluate ``claims`` at every point, in float64 where that decides.
 
-        ``claims(at)`` returns a list of (tail, label, lhs, rhs, err): each
-        is recorded at ``points[p] + tail``.  ``at(m, i)`` gives psi2^(m) at
-        ``args[p][i]`` (an mpf) with ``.value`` and ``.error``, and
-        ``at.const`` and ``at.unit`` the claims' constants and rounding unit
-        in the same arithmetic.  All points are first evaluated at once from
-        psi2_grid arrays.  A point is recomputed at 30 digits (psi2_cached)
-        when any of its margins lies within STRICTNESS_FACTOR times its
-        error, or a value, margin or error is not finite or does not fit
-        (``_FloatLookup.unfit``, or a margin under FLOAT_VALUE_FLOOR**2).  ``recorded=False`` evaluates the claims
-        without recording them.  Returns each point's claims, from the tier
-        that decided it.
+        ``claims(at)`` returns a list of (tail, label, lhs, rhs): each is
+        recorded at ``points[p] + tail``, with the error of lhs - rhs.
+        ``at(m, i)`` gives psi2^(m) at ``args[p][i]`` (an mpf) as an
+        :class:`Approx`, and ``at.const(c)`` rounds a constant into the same
+        arithmetic.  All points are first evaluated at once from psi2_grid
+        arrays.  A point is recomputed at 30 digits (psi2_cached) when any
+        of its margins lies within STRICTNESS_FACTOR times its error, or a
+        value, margin or error is not finite or does not fit
+        (``_FloatLookup.unfit``, or a margin under FLOAT_VALUE_FLOOR**2).
+        ``recorded=False`` evaluates the claims without recording them.
+        Returns each point's claims as plain (tail, label, lhs, rhs, err),
+        from the tier that decided it.
         """
         if not points:
             return []
         at = _FloatLookup(args)
         with np.errstate(all="ignore"):
-            batch = claims(at)
+            batch = _plain(claims(at))
             decided = ~at.unfit
             for _, _, lhs, rhs, err in batch:
                 margin = lhs - rhs
@@ -282,7 +293,7 @@ class _ReportBuilder:
                 ]
             else:
                 self.escalated += 1
-                found = claims(_ThirtyDigitLookup(args[p]))
+                found = _plain(claims(_ThirtyDigitLookup(args[p])))
             if recorded:
                 for tail, label, lhs, rhs, err in found:
                     self.record(point + tail, lhs, rhs, err, strict=strict, label=label)
@@ -294,22 +305,22 @@ class _ReportBuilder:
         return self.report
 
 
-def _prod_err(a, b):
-    return abs(a.value) * b.error + abs(b.value) * a.error + a.error * b.error
-
-
 def _on_grid(grid: Grid):
     """Reported points and lookup arguments of a one-argument grid check."""
     xs = grid.points()
     return [[float(x)] for x in xs], [(x,) for x in xs]
 
 
+def _check_depth(depth):
+    if depth < 0:
+        raise DomainError("derivative depth must be >= 0")
+    if depth > MAX_DEPTH:
+        raise DomainError(f"derivative depths above {MAX_DEPTH} are rejected")
+
+
 def _cm_claims(n, depth, at):
-    claims = []
-    for k in range(depth + 1):
-        r = at(n + k)
-        claims.append(([k], f"k={k}", (-1) ** (n + k + 1) * r.value, 0.0, r.error))
-    return claims
+    return [([k], f"k={k}", (-1) ** (n + k + 1) * at(n + k), 0.0)
+            for k in range(depth + 1)]
 
 
 def check_cm(n: int, depth: int, grid: Grid) -> CheckReport:
@@ -320,8 +331,7 @@ def check_cm(n: int, depth: int, grid: Grid) -> CheckReport:
     """
     if n < 2:
         raise DomainError("check_cm requires n >= 2")
-    if depth < 0:
-        raise DomainError("derivative depth must be >= 0")
+    _check_depth(depth)
     b = _ReportBuilder("cm", {"n": n, "depth": depth, "grid": asdict(grid)})
     b.record_all(*_on_grid(grid), partial(_cm_claims, n, depth))
     return b.done()
@@ -330,10 +340,7 @@ def check_cm(n: int, depth: int, grid: Grid) -> CheckReport:
 def _turan_claims(n, at):
     """psi2^(n)(x) psi2^(n)(x+2) against psi2^(n)(x+1)^2, at (x, x+1, x+2)."""
     lo, mid, hi = at(n, 0), at(n, 1), at(n, 2)
-    lhs, rhs = lo.value * hi.value, mid.value**2
-    # Two products and their difference, each rounded once.
-    err = _prod_err(lo, hi) + _prod_err(mid, mid) + at.unit * 2 * (abs(lhs) + rhs)
-    return [([], None, lhs, rhs, err)]
+    return [([], None, lo * hi, mid**2)]
 
 
 def check_turan(n: int, grid: Grid) -> CheckReport:
@@ -349,13 +356,8 @@ def check_turan(n: int, grid: Grid) -> CheckReport:
 def _ratio_claims(n, lo_bound, hi_bound, at):
     """(psi2^(n))^2 / (psi2^(n-1) psi2^(n+1)) against both bounds."""
     lo_b, hi_b = at.const(lo_bound), at.const(hi_bound)
-    mid, lo, hi = at(n), at(n - 1), at(n + 1)
-    denom = lo.value * hi.value
-    ratio = mid.value**2 / denom
-    # Square, product and quotient, then the difference with a rounded bound.
-    err = (_prod_err(mid, mid) + abs(ratio) * _prod_err(lo, hi)) / abs(denom)
-    err = err + at.unit * (5 * abs(ratio) + 2 * hi_b)
-    return [([], "lower", ratio, lo_b, err), ([], "upper", hi_b, ratio, err)]
+    ratio = at(n) ** 2 / (at(n - 1) * at(n + 1))
+    return [([], "lower", ratio, lo_b), ([], "upper", hi_b, ratio)]
 
 
 def check_ratio_bounds(n: int, grid: Grid) -> CheckReport:
@@ -378,35 +380,26 @@ def check_ratio_bounds(n: int, grid: Grid) -> CheckReport:
 
 
 def _f_derivative(n: int, omega, k: int, lookup):
-    """Exact k-th derivative of F via the Leibniz rule; (value, err, size).
+    """Exact k-th derivative of F via the Leibniz rule, as an :class:`Approx`.
 
-    ``lookup(m)`` gives psi2^(m) with ``.value`` and ``.error``: one point's
-    30-digit values or psi2_grid arrays over a whole grid.  ``size`` sums
-    the magnitudes of the binomially weighted products, which the rounding
-    of the sum acts on.
+    ``lookup(m)`` gives psi2^(m) as an Approx: one point's 30-digit values
+    or psi2_grid arrays over a whole grid.
     """
-    total = err = size = 0
+    total = 0
     for j in range(k + 1):
-        c = math.comb(k, j)
         a1, a2 = lookup(n + j), lookup(n + k - j)
         b1, b2 = lookup(n - 1 + j), lookup(n + 1 + k - j)
-        p, q = a1.value * a2.value, omega * b1.value * b2.value
-        total += c * (p - q)
-        err += c * (_prod_err(a1, a2) + abs(omega) * _prod_err(b1, b2))
-        size += c * (abs(p) + abs(q))
-    return total, err, size
+        total += math.comb(k, j) * (a1 * a2 - omega * b1 * b2)
+    return total
 
 
 def _f_claims(n, omega, depth, patterns, at):
     omega = at.const(omega)
     claims = []
     for k in range(depth + 1):
-        val, err, size = _f_derivative(n, omega, k, at)
-        # Up to five roundings in each Leibniz term (omega itself rounded
-        # once) and k + 1 in their sum.
-        err = err + at.unit * (k + 6) * size
+        val = _f_derivative(n, omega, k, at)
         for sgn, name in patterns:
-            claims.append(([k], f"{name},k={k}", (-1) ** k * sgn * val, 0.0, err))
+            claims.append(([k], f"{name},k={k}", (-1) ** k * sgn * val, 0.0))
     return claims
 
 
@@ -420,8 +413,7 @@ def check_F_cm(n: int, omega: float, depth: int, grid: Grid) -> CheckReport:
     """
     if n < 3:
         raise DomainError("F check requires n >= 3")
-    if depth < 0:
-        raise DomainError("derivative depth must be >= 0")
+    _check_depth(depth)
     omega = mpf(omega)
     lo_c = mpf(n - 2) / (n - 1)
     hi_c = mpf(n) / (n + 1)
@@ -567,29 +559,17 @@ def _subadditivity_claims(s, subadditive, at):
     """Deficit psi2^(s)(x1+x2) - psi2^(s)(x1) - psi2^(s)(x2) against 0 and
     against its midpoint value, at (x1, x2, x1+x2, m, m/2)."""
     p1, p2, whole, at_m, at_half = (at(s, i) for i in range(5))
-    deficit = whole.value - (p1.value + p2.value)
-    err = whole.error + p1.error + p2.error
-    bound = at_m.value - 2 * at_half.value
-    size = abs(whole.value) + abs(p1.value) + abs(p2.value)
-    # Two roundings in the deficit, one in the bound, one in the margin.
-    plain_err = err + at.unit * 2 * size
-    sharp_err = (
-        err
-        + at_m.error
-        + 2 * at_half.error
-        + at.unit * 3 * (size + abs(at_m.value) + 2 * abs(at_half.value))
-    )
+    deficit = whole - (p1 + p2)
+    bound = at_m - 2 * at_half
     if subadditive:
-        return [([], "plain", 0.0, deficit, plain_err),
-                ([], "sharp", bound, deficit, sharp_err)]
-    return [([], "plain", deficit, 0.0, plain_err),
-            ([], "sharp", deficit, bound, sharp_err)]
+        return [([], "plain", 0.0, deficit), ([], "sharp", bound, deficit)]
+    return [([], "plain", deficit, 0.0), ([], "sharp", deficit, bound)]
 
 
 def _midpoint_claims(s, subadditive, at):
     # At x1 = x2 = m/2 the sharp claim is an equality: its margin is zero.
-    _, _, lhs, rhs, err = _subadditivity_claims(s, subadditive, at)[1]
-    return [([], "midpoint", lhs, rhs, err)]
+    _, _, lhs, rhs = _subadditivity_claims(s, subadditive, at)[1]
+    return [([], "midpoint", lhs, rhs)]
 
 
 def check_subadditivity(
@@ -609,6 +589,8 @@ def check_subadditivity(
         raise DomainError("need n >= 2 and r >= 0")
     if not m > 0 or samples < 1:
         raise DomainError("need m > 0 and samples >= 1")
+    if samples > MAX_POINTS:
+        raise DomainError(f"more than {MAX_POINTS} samples are rejected")
     s = n + r_order
     m = mpf(m)
     subadditive = s % 2 == 1
@@ -641,45 +623,22 @@ def check_subadditivity(
 
 
 def _g_second(n, r, at):
-    """G_n''(x; r) and its error: r u^(r-2) [(r-1) (psi2^(n+1))^2 +
-    psi2^(n) psi2^(n+2)], u = (-1)^(n+1) psi2^(n) > 0."""
+    """G_n''(x; r) = r u^(r-2) [(r-1) (psi2^(n+1))^2 + psi2^(n) psi2^(n+2)],
+    u = (-1)^(n+1) psi2^(n) > 0; r is a double, so an exact exponent."""
     r = at.const(r)
     f0, f1, f2 = at(n), at(n + 1), at(n + 2)
-    u = (-1) ** (n + 1) * f0.value
-    a, c = (r - 1) * f1.value**2, f0.value * f2.value
-    inner = a + c
-    # r u^r / u^2 is r u^(r-2) without rounding the exponent r - 2: one
-    # power, one square, a quotient and a product, and u's own error.
-    scale = r * u**r / (u * u)
-    scale_rel = abs(r - 2) * f0.error / u + 5 * at.unit
-    inner_err = (
-        abs(r - 1) * _prod_err(f1, f1)
-        + _prod_err(f0, f2)
-        + at.unit * 4 * (abs(a) + abs(c))
-    )
-    second = scale * inner
-    err = abs(scale) * inner_err + abs(second) * (scale_rel + at.unit)
-    return second, err
+    u = (-1) ** (n + 1) * f0
+    # r u^r / u^2 is r u^(r-2) without rounding the exponent r - 2.
+    return r * u**r.value / (u * u) * ((r - 1) * f1**2 + f0 * f2)
 
 
 def _g_pair_claims(n, r, sub, at):
     """G(x1) + G(x2) against G(x1+x2), at (x1, x2, x1+x2)."""
-    r = at.const(r)
-    sign = (-1) ** (n + 1)
-    g1, g2, g12 = at(n, 0), at(n, 1), at(n, 2)
-    p1, p2, p12 = ((sign * g.value) ** r for g in (g1, g2, g12))
-    lhs, rhs = p1 + p2, p12
-    # d(g^r) = r g^r dg / g; each power rounds up to twice, then the sum and
-    # the margin once each.
-    err = (
-        1e-18 * (abs(lhs) + abs(rhs))
-        + abs(r) * (p1 * g1.error / abs(g1.value) + p2 * g2.error / abs(g2.value)
-                    + p12 * g12.error / abs(g12.value))
-        + at.unit * 4 * (lhs + rhs)
-    )
+    r = at.const(r).value  # a double: an exact exponent
+    p1, p2, p12 = (((-1) ** (n + 1) * at(n, i)) ** r for i in range(3))
     if sub:
-        return [([], "additive", rhs, lhs, err)]
-    return [([], "additive", lhs, rhs, err)]
+        return [([], "additive", p12, p1 + p2)]
+    return [([], "additive", p1 + p2, p12)]
 
 
 def check_G_convexity(n: int, r: float, grid: Grid) -> CheckReport:
@@ -713,10 +672,9 @@ def check_G_convexity(n: int, r: float, grid: Grid) -> CheckReport:
     )
 
     def claims(at):
-        second, err = _g_second(n, r, at)
         if expected == "concave":
-            return [([], "G''<0", 0.0, second, err)]
-        return [([], "G''>0", second, 0.0, err)]
+            return [([], "G''<0", 0.0, _g_second(n, r, at))]
+        return [([], "G''>0", _g_second(n, r, at), 0.0)]
 
     # In the gap nothing is asserted, but the signs are still read at 30
     # digits wherever float64 cannot tell them.
@@ -749,37 +707,28 @@ def _hankel_claims(n, j, m, depth, at):
 
     D is the Leibniz sum over the (m+1)! permutations; D' the same sum with
     each row differentiated in turn (Jacobi), a differentiated entry being
-    psi2^(order+1).  A product of values v with errors e is off by at most
-    prod(|v| + e) - prod|v|, accumulated factor by factor; its m roundings
-    and one per term of the sum take m + products - 1 units of the sum of
-    |products| (Higham 2002, sections 3.1 and 4.2), counted as m + 1 +
-    products.  A float64 product underflows only where every entry is below
-    1 (y > 78), so it loses far less than the two spare units wherever the
-    float tier decides (margins above FLOAT_VALUE_FLOOR**2).
+    psi2^(order+1).  A float64 product underflows only where every entry is
+    below 1 (y > 78).  It then loses at most 2^-1075 per product, far less
+    than one unit of the sum wherever the float tier decides (margins above
+    FLOAT_VALUE_FLOOR**2).
     """
     sign = (-1) ** ((n + 1) * (m + 1))
     perms = [((-1) ** sum(a > b for a, b in itertools.combinations(p, 2)), p)
              for p in itertools.permutations(range(m + 1))]
 
     def leibniz(derived_rows):
-        total = err = size = 0
+        total = 0
         for d in derived_rows:
             rows = [[at(n + (i + l) * j + (i == d)) for l in range(m + 1)]
                     for i in range(m + 1)]
             for parity, perm in perms:
-                prod = reduce(lambda a, b: _Value(a.value * b.value, _prod_err(a, b)),
-                              (rows[i][l] for i, l in enumerate(perm)))
-                total = total + parity * prod.value
-                err = err + prod.error
-                size = size + abs(prod.value)
-        count = len(derived_rows) * len(perms)
-        return sign * total, err + at.unit * (m + 1 + count) * size
+                prod = reduce(operator.mul, (rows[i][l] for i, l in enumerate(perm)))
+                total = total + parity * prod
+        return sign * total
 
-    value, err = leibniz([None])
-    claims = [([], "sign", value, 0.0, err)]
+    claims = [([], "sign", leibniz([None]), 0.0)]
     if depth == 1:
-        value, err = leibniz(range(m + 1))
-        claims.append(([], "decreasing", 0.0, value, err))
+        claims.append(([], "decreasing", 0.0, leibniz(range(m + 1))))
     return claims
 
 
@@ -817,21 +766,12 @@ def _cauchy_schwarz_claims(n, const, at):
     S_q = |psi2^(q-1)| / (q-1)! = sum (k+1)/(x+k)^q."""
 
     def series_sum(q):
-        v, fact = at(q - 1), at.const(mp.factorial(q - 1))
-        return _Value(abs(v.value) / fact, v.error / fact)
+        return abs(at(q - 1)) / at.const(mp.factorial(q - 1))
 
     sn, sm, sp = series_sum(n), series_sum(n + 1), series_sum(n + 2)
-    lhs, rhs = sm.value**2, sn.value * sp.value
-    # Each S_q is one quotient by a rounded factorial; then a square or a
-    # product, the constant's product and rounding, and the margin.
-    err = (
-        1e-18 * (lhs + rhs)
-        + _prod_err(sm, sm)
-        + _prod_err(sn, sp)
-        + at.unit * 8 * (lhs + rhs)
-    )
-    return [([], "direct", rhs, lhs, err),
-            ([], "reversed", lhs, at.const(const) * rhs, err)]
+    lhs, rhs = sm**2, sn * sp
+    return [([], "direct", rhs, lhs),
+            ([], "reversed", lhs, at.const(const) * rhs)]
 
 
 def check_cauchy_schwarz(n: int, grid: Grid) -> CheckReport:
@@ -1064,7 +1004,7 @@ def audit_identities() -> list:
         )
     )
 
-    # Normalization constant of the log double gamma integral formula.
+    # Normalization constant of the log double gamma integral formula, as read.
     const_dev = float(mpf(3) / 2 * mp.log(mp.pi))
     entries.append(
         _entry(
@@ -1073,8 +1013,9 @@ def audit_identities() -> list:
             const_dev,
             1e-25,
             "normalization constant is consistent",
-            "the formula should vanish at the unit argument (the function "
-            "value there is 1) but yields -(3/2) log pi instead",
+            "a reading of the printed formula, not an evaluation of it: the "
+            "formula should vanish at the unit argument (the function value "
+            "there is 1), but its additive constant leaves -(3/2) log pi",
         )
     )
 
@@ -1084,12 +1025,14 @@ def audit_identities() -> list:
         _entry(
             "didouble-integral-normalization",
             "first-derivative integral formula at the unit argument",
-            abs(float(didouble_ref.value)),  # formula evaluates to 0 there
+            # Read off the printed formula, not computed: it is 0 there.
+            abs(float(didouble_ref.value)),
             didouble_ref.error,
             "first-derivative integral formula is consistent",
-            "formula gives 0 at the unit argument while the series gives "
-            "~1.1583; for positive shifts its integrand even diverges like "
-            "1/t at the origin - a sign/normalization convention gap",
+            "a reading of the printed formula, not an evaluation of it: it "
+            "reads 0 at the unit argument while the series gives ~1.1583; "
+            "for positive shifts its integrand even diverges like 1/t at the "
+            "origin - a sign/normalization convention gap",
         )
     )
 

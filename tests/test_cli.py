@@ -15,7 +15,7 @@ from mpmath import mpf
 import polydgamma
 from polydgamma import CheckReport, psi2_cached, verify
 from polydgamma.cli import CHECKS, main
-from polydgamma.verify import _f_derivative
+from polydgamma.verify import _f_derivative, _ThirtyDigitLookup
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -48,6 +48,24 @@ class TestExitCodes:
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error:")]
         assert errors == ["error: hankel checks derivative depth 0 or 1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--id", "cm", "--grid-count", "10001"],
+            ["--id", "cm", "--depth", "51"],
+            ["--id", "F-cm", "--depth", "51"],
+            ["--id", "subadditivity", "--samples", "10001"],
+        ],
+    )
+    def test_oversized_request(self, argv, capsys):
+        assert main(["check", *argv]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "rejected" in errors[0]
+
+    def test_largest_request(self, capsys):
+        assert main(["check", "--id", "cm", "--depth", "50", "--grid-count", "2"]) == 0
 
     def test_gap_omega_counterexample(self, capsys):
         code = main(["check", "--id", "F-cm", "--n", "3", "--omega", "0.6",
@@ -291,7 +309,7 @@ class TestFigures:
             return [x * psi2_cached(2, x).value]
         omega, sign = (mpf(1) / 4, 1) if fid == 5 else (mpf(3) / 4, -1)
         return [
-            sign * _f_derivative(3, omega, k, lambda m: psi2_cached(m, x))[0]
+            sign * _f_derivative(3, omega, k, _ThirtyDigitLookup((x,))).value
             for k in range(5)
         ]
 

@@ -31,13 +31,14 @@ from polydgamma import (
     psi2_series,
 )
 from polydgamma import verify
+from polydgamma.specfun import Approx
 from polydgamma.verify import (
     _FloatLookup,
     _hankel_claims,
     _lagrange_brute_force,
+    _plain,
     _ReportBuilder,
     _ThirtyDigitLookup,
-    _Value,
 )
 
 SMALL = Grid(0.1, 10.0, 20, "log")
@@ -250,8 +251,8 @@ def _hankel_oracle(n, j, m, p):
 
 class TestHankel:
     def test_anchor_determinant(self):
-        [(_, _, det, _, _)] = _hankel_claims(2, 1, 1, 0, _ThirtyDigitLookup((mpf(1),)))
-        assert abs(det - mpf(HANKEL_ORACLE)) < 1e-15
+        [(_, _, det, _)] = _hankel_claims(2, 1, 1, 0, _ThirtyDigitLookup((mpf(1),)))
+        assert abs(det.value - mpf(HANKEL_ORACLE)) < 1e-15
 
     @pytest.mark.parametrize("tier", ["float64", "30-digit"])
     def test_claims_cover_60_digit_determinants(self, tier):
@@ -259,13 +260,13 @@ class TestHankel:
         for n, j, m in HANKEL_CASES:
             if tier == "float64":
                 at = _FloatLookup(args)
-                claims = _hankel_claims(n, j, m, 1, at)
+                claims = _plain(_hankel_claims(n, j, m, 1, at))
                 assert not at.unfit.any()
                 found = [[tuple(verify._item(a, p) for a in c[2:]) for c in claims]
                          for p in range(len(args))]
             else:
-                found = [[c[2:] for c in _hankel_claims(n, j, m, 1, _ThirtyDigitLookup(a))]
-                         for a in args]
+                found = [[c[2:] for c in _plain(_hankel_claims(n, j, m, 1, at))]
+                         for at in map(_ThirtyDigitLookup, args)]
             for p, ((det, _, det_err), (_, ddet, ddet_err)) in enumerate(found):
                 exact_det, exact_ddet = _hankel_oracle(n, j, m, p)
                 assert abs(det - exact_det) <= det_err, (n, j, m, p)
@@ -288,6 +289,27 @@ class TestHankel:
     def test_order_cap(self):
         with pytest.raises(DomainError):
             check_hankel_cm(2, 1, 5, 1, SMALL)
+
+
+class TestWorkBounds:
+    def test_grid_count(self):
+        assert Grid(1.0, 2.0, verify.MAX_POINTS, "log").count == verify.MAX_POINTS
+        with pytest.raises(DomainError):
+            Grid(1.0, 2.0, verify.MAX_POINTS + 1, "log")
+
+    def test_samples(self):
+        assert check_subadditivity(2, 1, 2.0, verify.MAX_POINTS, 0).passed
+        with pytest.raises(DomainError):
+            check_subadditivity(2, 1, 2.0, verify.MAX_POINTS + 1, 0)
+
+    @pytest.mark.parametrize(
+        "check", [partial(check_cm, 3), partial(check_F_cm, 3, 0.25)], ids=["cm", "F-cm"]
+    )
+    def test_depth(self, check):
+        grid = Grid(0.5, 2.0, 2, "log")
+        assert check(verify.MAX_DEPTH, grid).passed
+        with pytest.raises(DomainError):
+            check(verify.MAX_DEPTH + 1, grid)
 
 
 class TestCauchySchwarz:
@@ -517,18 +539,17 @@ class TestFloatTier:
 
 class _ExactDoubles:
     """Lookup over given doubles with no value error, in float64 arrays
-    (``exact=False``) or as mpf at one point (``exact=True``)."""
+    (``point=None``) or as mpf at one point."""
 
     def __init__(self, values, point=None):
         self.values, self.point = values, point
-        self.unit = verify._FloatLookup.unit if point is None else 0
-        self.const = float if point is None else (lambda c: c)
+        self.const = (_FloatLookup if point is None else _ThirtyDigitLookup).const
 
     def __call__(self, m, i=0):
         v = self.values[m, i]
         if self.point is None:
-            return _Value(v, np.zeros_like(v))
-        return _Value(mpf(v[self.point]), 0)
+            return Approx(v, np.zeros_like(v))
+        return Approx(mpf(v[self.point]), 0)
 
 
 _CLAIMS = {
@@ -536,20 +557,22 @@ _CLAIMS = {
     "ratio-bounds": partial(verify._ratio_claims, 5, mpf(3) / 4, mpf(5) / 6),
     "F-cm": partial(verify._f_claims, 3, mpf(3) / 4, 4, [(1, "F"), (-1, "-F")]),
     "subadditivity": partial(verify._subadditivity_claims, 3, True),
-    "G-convexity": lambda at: [
-        ([], "G", second, 0.0, err)
-        for second, err in [verify._g_second(4, mpf("-0.3"), at)]
-    ],
+    "G-convexity": lambda at: [([], "G", verify._g_second(4, mpf("-0.3"), at), 0.0)],
     "G-additive": partial(verify._g_pair_claims, 3, mpf("-0.6"), True),
     "cauchy-schwarz": partial(verify._cauchy_schwarz_claims, 4, mpf(10) / 12),
     "hankel": partial(verify._hankel_claims, 2, 1, 3, 1),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_CLAIMS))
-def test_float_error_covers_own_rounding(name):
-    """With exact inputs, the float margins stay within their errors of the
-    same arithmetic done at 50 digits."""
+@pytest.mark.parametrize(
+    "name, tier",
+    [pytest.param(name, tier, id=name if tier == "float64" else f"{name}-{tier}")
+     for tier in ("float64", "30-digit") for name in sorted(_CLAIMS)],
+)
+def test_float_error_covers_own_rounding(name, tier):
+    """With exact inputs, the margins stay within their errors of the same
+    arithmetic done at more digits: float64 against 50 digits, 30 digits
+    against 60."""
     claims = _CLAIMS[name]
     rng = np.random.default_rng(7)
     size = 200
@@ -557,14 +580,27 @@ def test_float_error_covers_own_rounding(name):
         (m, i): (-1.0) ** (m + 1) * np.exp(rng.uniform(-2.0, 2.0, size))
         for m in range(2, 12) for i in range(5)
     }
-    floats = claims(_ExactDoubles(values))
-    worst = 0.0
+    if tier == "float64":
+        floats = _plain(claims(_ExactDoubles(values)))
+        found = [[tuple(float(verify._item(a, p)) for a in c[2:]) for c in floats]
+                 for p in range(size)]
+        exact_dps = 50
+    else:
+        with mp.workdps(30):
+            found = [[c[2:] for c in _plain(claims(_ExactDoubles(values, p)))]
+                     for p in range(size)]
+        exact_dps = 60
+    worst = worst_ratio = 0.0
     for p in range(size):
-        with mp.workdps(50):
-            exact = claims(_ExactDoubles(values, p))
-            for (_, _, lhs, rhs, err), (_, _, xl, xr, _) in zip(floats, exact):
-                lhs_p, rhs_p, err_p = (float(verify._item(a, p)) for a in (lhs, rhs, err))
-                miss = abs(mpf(lhs_p) - mpf(rhs_p) - (xl - xr))
-                assert miss <= err_p, (name, p)
+        with mp.workdps(exact_dps):
+            exact = _plain(claims(_ExactDoubles(values, p)))
+            for (lhs, rhs, err), (_, _, xl, xr, _) in zip(found[p], exact):
+                miss = abs(mpf(lhs) - mpf(rhs) - (xl - xr))
+                assert miss <= err, (name, p)
                 worst = max(worst, float(miss))
-    assert worst > 0  # the float arithmetic did round
+                worst_ratio = max(worst_ratio, float(miss / err))
+    if tier == "float64":
+        assert worst > 0  # the float arithmetic did round
+    elif name in ("G-additive", "cauchy-schwarz"):
+        # The claims are tight, not padded by a fixed relative term.
+        assert worst_ratio > 1e-3, worst_ratio
