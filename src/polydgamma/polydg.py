@@ -5,11 +5,16 @@ The central object is psi2^(n)(x), n >= 2, defined canonically by the series
     psi2^(n)(x) = (-1)^(n+1) n! sum_{k>=0} (1+k) / (x+k)^(n+1),   x > 0,
 
 together with the first logarithmic derivative psi2(x) (from digamma) and
-log G(x) itself.  psi2^(n) is evaluated by four independent routes - direct
-series, polygamma combination, Laplace-transform quadrature, and a Bernoulli
+log G(x) itself.  psi2^(n) is evaluated by four routes - direct series,
+polygamma combination, Laplace-transform quadrature, and a Bernoulli
 asymptotic expansion with an exact integral remainder - which cross-check
-one another.  The series is canonical: ``auto`` and the cache use it, and
-the other routes are explicit choices that the identity audit also checks.
+one another.  The series and the quadrature are independent of
+:func:`polygamma`; the polygamma combination and the expansion's closed form
+(psi^(n)(x+1) and psi^(n-1)(x+1)) are not.  The series is canonical: ``auto``
+and the cache use it, and the other routes are explicit choices that the
+identity audit also checks.  The routes that combine other results compute
+their formulas in :class:`Approx`, so their claimed errors count the
+rounding of the combination.
 The series tail of psi2^(n) is summed by the one Euler-Maclaurin engine in
 :mod:`specfun`; log G comes from Barnes' asymptotic expansion.
 Differentiation in x is closed: d/dx psi2^(n) = psi2^(n+1), so
@@ -107,25 +112,31 @@ def psi2_series(arg: PolyDoubleArg) -> EvalResult:
     )
 
 
+def _floored(a: Approx, method: str) -> EvalResult:
+    """``a`` as an EvalResult, its error plus the routes' absolute 1e-30 floor."""
+    return EvalResult(value=a.value, error=float(a.error) + 1e-30, method=method)
+
+
+def _factorial(k: int) -> Approx:
+    """k! at working precision, rounded once."""
+    return Approx.rounded(mp.factorial(k))
+
+
 def psi2_from_polygamma(arg: PolyDoubleArg) -> EvalResult:
     """psi2^(n)(x) = -n psi^(n-1)(x) + (1-x) psi^(n)(x)."""
     n, x = arg.n, arg.x
-    lo = polygamma(n - 1, x)
-    hi = polygamma(n, x)
-    value = -n * lo.value + (1 - x) * hi.value
-    err = n * lo.error + abs(float(1 - x)) * hi.error
-    return EvalResult(value=value, error=err + 1e-30, method="polygamma")
+    lo = Approx.of(polygamma(n - 1, x))
+    hi = Approx.of(polygamma(n, x))
+    return _floored(-n * lo + Approx.rounded(1 - x) * hi, "polygamma")
 
 
 def psi2_zeta_form(arg: PolyDoubleArg) -> EvalResult:
     """Equivalent closed form (-1)^(n+1) n! (zeta(n,x) + (1-x) zeta(n+1,x))."""
     n, x = arg.n, arg.x
-    za = hurwitz_zeta(n, x)
-    zb = hurwitz_zeta(n + 1, x)
-    fact = mp.factorial(n)
-    value = mpf(-1) ** (n + 1) * fact * (za.value + (1 - x) * zb.value)
-    err = float(fact) * (za.error + abs(float(1 - x)) * zb.error)
-    return EvalResult(value=value, error=err + 1e-30, method="zeta-form")
+    za = Approx.of(hurwitz_zeta(n, x))
+    zb = Approx.of(hurwitz_zeta(n + 1, x))
+    value = (-1) ** (n + 1) * _factorial(n) * (za + Approx.rounded(1 - x) * zb)
+    return _floored(value, "zeta-form")
 
 
 def psi2_integral(arg: PolyDoubleArg) -> EvalResult:
@@ -289,7 +300,7 @@ def asymptotic_bernoulli_sum(arg: PolyDoubleArg, n_blocks: int):
     return mpf(-1) ** n * total, abs(block(n_blocks))
 
 
-def asymptotic_closed_form(arg: PolyDoubleArg) -> EvalResult:
+def asymptotic_closed_form(arg: PolyDoubleArg) -> Approx:
     """Closed-form part of the expansion of psi2^(n)(x+1) at x = arg.x.
 
     The n-fold derivative of the first-derivative expansion:
@@ -297,16 +308,19 @@ def asymptotic_closed_form(arg: PolyDoubleArg) -> EvalResult:
         -x psi^(n)(x+1) - (n+1) psi^(n-1)(x+1)
         + (-1)^n (n-2)!/x^(n-1) + (-1)^(n-1) (n-1)!/(2 x^n)
         + (-1)^n n!/(12 x^(n+1))
+
+    as an :class:`Approx`, whose error covers the polygamma values' claims
+    and the rounding of the sum.
     """
     n, x = arg.n, arg.x
-    pg_hi = polygamma(n, x + 1)
-    pg_lo = polygamma(n - 1, x + 1)
-    value = -x * pg_hi.value - (n + 1) * pg_lo.value
-    value += mpf(-1) ** n * mp.factorial(n - 2) / x ** (n - 1)
-    value += mpf(-1) ** (n - 1) * mp.factorial(n - 1) / (2 * x ** n)
-    value += mpf(-1) ** n * mp.factorial(n) / (12 * x ** (n + 1))
-    err = float(x) * pg_hi.error + (n + 1) * pg_lo.error
-    return EvalResult(value=value, error=err, method="asymptotic-closed-form")
+    hi = Approx.of(polygamma(n, x + 1))
+    lo = Approx.of(polygamma(n - 1, x + 1))
+    exact_x = Approx(x, 0)
+    value = -x * hi - (n + 1) * lo
+    value += (-1) ** n * _factorial(n - 2) / exact_x ** (n - 1)
+    value += (-1) ** (n - 1) * _factorial(n - 1) / (2 * exact_x**n)
+    value += (-1) ** n * _factorial(n) / (12 * exact_x ** (n + 1))
+    return value
 
 
 def psi2_asymptotic(arg: PolyDoubleArg, terms: int) -> EvalResult:
@@ -317,34 +331,21 @@ def psi2_asymptotic(arg: PolyDoubleArg, terms: int) -> EvalResult:
     identity, not merely an asymptotic expansion.  tau runs first, so an N
     outside 1..31 raises DomainError before any other evaluation.
     """
-    tau = asymptotic_remainder(arg, terms)
+    tau = Approx.of(asymptotic_remainder(arg, terms))
     sigma, _ = asymptotic_bernoulli_sum(arg, terms)
-    closed = asymptotic_closed_form(arg)
-    return EvalResult(
-        value=closed.value + sigma + tau.value,
-        error=closed.error + tau.error + 1e-30,
-        method="asymptotic",
-    )
+    return _floored(asymptotic_closed_form(arg) + sigma + tau, "asymptotic")
 
 
 def _via_asymptotic(arg: PolyDoubleArg) -> EvalResult:
-    # psi2^(n)(x) = expansion at x-1 less tau; recurrence-shift first if x is small.
+    # psi2^(n)(x) = expansion at x-1 less tau; recurrence-shift first if x is
+    # small.  The first omitted Bernoulli block stands for the dropped tau.
     n, x = arg.n, arg.x
     shift = max(0, int(mp.ceil(SHIFT_THRESHOLD + 1 - x)))
-    head = mpf(0)
-    head_err = 0.0
-    for i in range(shift):
-        pg = polygamma(n, x + i)
-        head += pg.value
-        head_err += pg.error
+    head = sum(Approx.of(polygamma(n, x + i)) for i in range(shift))
     base = PolyDoubleArg(n, x + shift - 1)
-    closed = asymptotic_closed_form(base)
     sigma, omitted = asymptotic_bernoulli_sum(base, ASYMPTOTIC_TERMS)
-    return EvalResult(
-        value=head + (closed.value + sigma),
-        error=head_err + (closed.error + float(omitted) + 1e-30),
-        method="asymptotic",
-    )
+    expansion = asymptotic_closed_form(base) + Approx(sigma, omitted)
+    return _floored(head + expansion, "asymptotic")
 
 
 def psi2_eval(arg: PolyDoubleArg, method: str = "auto") -> EvalResult:
@@ -458,19 +459,20 @@ def psi2_didouble(x) -> EvalResult:
 
         psi2(x) = x + gamma + 1/2 - log(2 pi)/2 - (x-1) psi(x),
 
-    the order-0 case of the polygamma relation of psi2^(n).  The error is
-    |x-1| times digamma's plus the rounding of the five-term sum, counted
-    as in :func:`log_barnes_g`.
+    the order-0 case of the polygamma relation of psi2^(n), computed in
+    :class:`Approx`: |x-1| times digamma's error plus one rounding unit per
+    operation, the constants each rounded once.
     """
     x = mpf(x)
     if x <= 0:
         raise DomainError("psi2_didouble requires x > 0")
-    digamma = polygamma(0, x)
+    digamma = Approx.of(polygamma(0, x))
     c = CONSTANTS
-    parts = [x, c.euler_gamma, mpf(1) / 2, -c.log_two_pi / 2, -(x - 1) * digamma.value]
-    magnitude = sum(abs(p) for p in parts)
-    err = abs(x - 1) * digamma.error + len(parts) * magnitude * rounding_unit()
-    return EvalResult(value=sum(parts), error=float(err), method="digamma")
+    value = (
+        x + Approx.rounded(c.euler_gamma) + mpf(1) / 2
+        - Approx.rounded(c.log_two_pi) / 2 - Approx.rounded(x - 1) * digamma
+    )
+    return EvalResult(value=value.value, error=float(value.error), method="digamma")
 
 
 def log_barnes_g(x) -> EvalResult:

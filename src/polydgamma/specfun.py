@@ -95,6 +95,11 @@ class Approx:
         """``value``, good to ``error`` before it was rounded once."""
         return cls(value, error + _unit(value) * abs(value))
 
+    @classmethod
+    def of(cls, result):
+        """The value and claimed error of an :class:`EvalResult`."""
+        return cls(result.value, result.error)
+
     def __iter__(self):
         return iter((self.value, self.error))
 

@@ -5,8 +5,10 @@ closed on the family (d/dx psi2^(m) = psi2^(m+1)), so complete-monotonicity
 patterns, Leibniz-expanded derivatives of products, and Jacobi-expanded
 derivatives of determinants all reduce to direct function values.  Checks
 emit a :class:`CheckReport` with per-point witnesses; the identity audit
-compares each printed representation against the canonical series and
-classifies it as confirmed or discrepant.
+compares each printed representation against the canonical series as
+(lhs, rhs) pairs of :class:`Approx` and classifies it as confirmed, when
+every |lhs - rhs| lies within 100 times the claimed error of lhs - rhs, or
+discrepant.
 
 Each psi2-based check writes its claims once, as formulas over psi2^(m)
 values that are :class:`Approx`, whose arithmetic gives each margin its
@@ -201,8 +203,7 @@ class _ThirtyDigitLookup:
         self.args = args
 
     def __call__(self, m, i=0):
-        r = psi2_cached(m, self.args[i])
-        return Approx(r.value, r.error)
+        return Approx.of(psi2_cached(m, self.args[i]))
 
 
 def _item(a, p):
@@ -802,9 +803,13 @@ class AuditEntry:
     note: str
 
 
-def _entry(identity_id, anchor, deviation, err, note_ok, note_bad):
-    deviation = float(deviation)
-    if deviation <= 100.0 * max(err, 1e-28):
+def _entry(identity_id, anchor, pairs, note_ok, note_bad):
+    """Confirmed when each (lhs, rhs) pair of :class:`Approx` agrees within
+    100 times the error of lhs - rhs; the deviation is the largest
+    |lhs - rhs|."""
+    diffs = [lhs - rhs for lhs, rhs in pairs]
+    deviation = max(float(abs(d.value)) for d in diffs)
+    if all(abs(d.value) <= 100 * d.error for d in diffs):
         return AuditEntry(identity_id, anchor, "confirmed", deviation, note_ok)
     return AuditEntry(identity_id, anchor, "discrepancy", deviation, note_bad)
 
@@ -832,227 +837,122 @@ def _lagrange_brute_force(n=3, x=1.0, terms=10000):
 def audit_identities() -> list:
     """Test every printed representation against the canonical series.
 
-    Returns a deterministic list of entries; discrepancies are findings,
-    not failures, and each carries the measured deviation.
+    Each entry compares (lhs, rhs) pairs of :class:`Approx` through
+    :func:`_entry`, so every gate is the claimed error of lhs - rhs: the
+    routes' and functions' own claims plus the rounding of the formula that
+    combines them.  Returns a deterministic list of entries; discrepancies
+    are findings, not failures, and each carries the measured deviation.
     """
-    entries = []
+    def series(n, x):
+        return Approx.of(psi2_series(PolyDoubleArg(n, x)))
+
     probes = [(2, mpf(1)), (3, mpf(2)), (4, mpf("0.5"))]
 
-    # Integral representation, polygamma combination, Hurwitz-zeta closed form.
-    routes = [
-        (
-            "integral-representation",
-            "Laplace transform of t^n/(1-e^-t)^2",
-            psi2_integral,
-            "quadrature of the kernel matches the series at all probes",
-            "integral representation disagrees with the series",
-        ),
-        (
-            "polygamma-relation",
-            "-n psi^(n-1) + (1-x) psi^(n)",
-            psi2_from_polygamma,
-            "polygamma combination matches the series",
-            "polygamma combination disagrees with the series",
-        ),
-        (
-            "zeta-closed-form",
-            "(-1)^(n+1) n! (zeta(n,x) + (1-x) zeta(n+1,x))",
-            psi2_zeta_form,
-            "Hurwitz-zeta closed form matches the series",
-            "Hurwitz-zeta closed form disagrees with the series",
-        ),
-    ]
-    for identity_id, anchor, route, note_ok, note_bad in routes:
-        dev, err = 0.0, 0.0
-        for n, x in probes:
-            a = psi2_series(PolyDoubleArg(n, x))
-            b = route(PolyDoubleArg(n, x))
-            dev = max(dev, abs(float(a.value - b.value)))
-            err = max(err, a.error + b.error)
-        entries.append(_entry(identity_id, anchor, dev, err, note_ok, note_bad))
+    def against_series(route):
+        return [(series(n, x), Approx.of(route(PolyDoubleArg(n, x)))) for n, x in probes]
 
-    # Downward recurrence.
-    dev, err = 0.0, 0.0
-    for n, x in probes:
-        a = psi2_series(PolyDoubleArg(n, x))
-        bshift = psi2_series(PolyDoubleArg(n, x + 1))
-        pg = polygamma(n, x)
-        dev = max(dev, abs(float(bshift.value + pg.value - a.value)))
-        err = max(err, a.error + bshift.error + pg.error)
-    entries.append(
-        _entry(
-            "recurrence",
-            "psi2^(n)(x+1) + psi^(n)(x) = psi2^(n)(x)",
-            dev,
-            err,
-            "recurrence holds at all probes",
-            "recurrence fails",
-        )
-    )
-
-    # Lagrange-identity expansion of the moment difference.
-    brute, moment = _lagrange_brute_force()
-    entries.append(
-        _entry(
-            "lagrange-expansion",
-            "sum over pairs k<j of (k-j)^2 (1+k)(1+j) [(x+k)(x+j)]^(-n-2)",
-            abs(brute - moment),
-            1e-10,
-            "pairwise double sum matches n!^2 (S_n S_{n+2} - S_{n+1}^2)",
-            "pairwise double sum disagrees with the moment form",
-        )
-    )
-
-    # Derived asymptotic expansion with exact remainder: an identity.
-    dev, err = 0.0, 0.0
-    for n, x, N in [(2, mpf(2), 3), (3, mpf(10), 4), (5, mpf(1), 6)]:
-        ref = psi2_series(PolyDoubleArg(n, x + 1))
-        asym = psi2_asymptotic(PolyDoubleArg(n, x), N)
-        dev = max(dev, abs(float(ref.value - asym.value)))
-        err = max(err, ref.error + asym.error)
-    entries.append(
-        _entry(
-            "asymptotic-derived-identity",
-            "expansion with re-derived sigma_n, tau_n and remainder on",
-            dev,
-            err,
-            "re-derived expansion plus remainder reproduces the series",
-            "re-derived expansion fails against the series",
-        )
-    )
-
-    # Printed sigma: exponent off by one power of x and one factorial step.
+    # Printed sigma and tau against the derived expansion at x + 1.
     n, x, N = 3, mpf(2), 4
-    ref = psi2_series(PolyDoubleArg(n, x + 1))
-    tau = asymptotic_remainder(PolyDoubleArg(n, x), N)
-    closed = asymptotic_closed_form(PolyDoubleArg(n, x)).value
+    ref = series(n, x + 1)
+    tau = Approx.of(asymptotic_remainder(PolyDoubleArg(n, x), N))
+    closed = asymptotic_closed_form(PolyDoubleArg(n, x))
+    sigma_derived, _ = asymptotic_bernoulli_sum(PolyDoubleArg(n, x), N)
     # The printed block sum is the derived one at order n - 1.
     sigma_printed, _ = asymptotic_bernoulli_sum(PolyDoubleArg(n - 1, x), N)
-    with_printed = closed + sigma_printed + tau.value
-    dev = abs(float(ref.value - with_printed))
-    entries.append(
-        _entry(
-            "sigma-printed-form",
-            "Bernoulli block sum with (2k+n-1)!/x^(2k+n)",
-            dev,
-            ref.error + tau.error,
-            "printed Bernoulli block sum is consistent",
-            "printed sign/exponent/factorial fail the identity; the derived "
-            "(-1)^n (2k+n)!/x^(2k+n+1) form is used",
-        )
-    )
+    tau_printed = Approx(*_remainder_integral(n - 3, x, N, first=1))
 
-    # Printed tau: t^(n-3) weight, Bernoulli sum starting at k = 1.
-    sigma_derived, _ = asymptotic_bernoulli_sum(PolyDoubleArg(n, x), N)
-    tau_printed, tau_err = _remainder_integral(n - 3, x, N, first=1)
-    with_printed = closed + sigma_derived + mpf(-1) ** (n + 1) * mpf(tau_printed)
-    dev = abs(float(ref.value - with_printed))
-    entries.append(
-        _entry(
-            "tau-printed-form",
-            "remainder integral with t^(n-3) weight and k starting at 1",
-            dev,
-            ref.error + tau_err,
-            "printed remainder integrand is consistent",
-            "printed remainder fails the identity (and its integrand "
-            "diverges like 1/t at the origin for n = 2); the derived "
-            "(-1)^n t^(n-2), k >= 0 form is used",
-        )
-    )
+    # Half-argument difference in Hurwitz-zeta and in polygamma terms.
+    s, m = 4, mpf(3)
+    direct = series(s, m / 2) - series(s, m)
+    za, zb, zc, zd = (Approx.of(hurwitz_zeta(k, a))
+                      for k, a in [(s, m / 2), (s + 1, m / 2), (s, m), (s + 1, m)])
+    fact = mp.factorial(s)  # 24, exact
+    zeta_printed = ((-1) ** (s + 1) * fact * (2 * za + (2 - m) * zb)
+                    + (-1) ** (s - 1) * fact * (zc + (1 - m) * zd))
+    pa, pb, pc, pd = (Approx.of(polygamma(k, a))
+                      for k, a in [(s - 1, m / 2), (s, m / 2), (s - 1, m), (s, m)])
+    polygamma_printed = -2 * s * pa + (2 - m) * pb + s * pc - (1 - m) * pd
 
-    # Half-argument difference in Hurwitz-zeta terms.
-    s_ord, m = 4, mpf(3)
-    direct = (
-        psi2_series(PolyDoubleArg(s_ord, m / 2)).value
-        - psi2_series(PolyDoubleArg(s_ord, m)).value
-    )
-    za = hurwitz_zeta(s_ord, m / 2).value
-    zb = hurwitz_zeta(s_ord + 1, m / 2).value
-    zc = hurwitz_zeta(s_ord, m).value
-    zd = hurwitz_zeta(s_ord + 1, m).value
-    fact = mp.factorial(s_ord)
-    printed = mpf(-1) ** (s_ord + 1) * fact * (2 * za + (2 - m) * zb) + mpf(-1) ** (
-        s_ord - 1
-    ) * fact * (zc + (1 - m) * zd)
-    entries.append(
-        _entry(
-            "remark-zeta-half-argument",
-            "half-argument difference in Hurwitz-zeta terms",
-            abs(float(direct - printed)),
-            1e-20,
-            "zeta-form of the half-argument difference is consistent",
-            "printed zeta form carries doubled half-argument coefficients "
-            "and a flipped relative sign; fails against direct evaluation",
-        )
-    )
+    # Order-two determinant remark at n = 2, y = 1: which squared entry is
+    # intended.  The printed reading carries the sign (-1)^(n+1); only a
+    # negative reading deviates.
+    d0, d2 = (Approx.of(psi2_cached(k, mpf(1))) for k in (2, 4))
+    hankel_printed = -(d0 * d2 - d0**2)
 
-    # Half-argument difference in polygamma terms.
-    pa = polygamma(s_ord - 1, m / 2).value
-    pb = polygamma(s_ord, m / 2).value
-    pc = polygamma(s_ord - 1, m).value
-    pd = polygamma(s_ord, m).value
-    printed = -2 * s_ord * pa + (2 - m) * pb + s_ord * pc - (1 - m) * pd
-    entries.append(
-        _entry(
-            "remark-polygamma-half-argument",
-            "half-argument difference in polygamma terms",
-            abs(float(direct - printed)),
-            1e-20,
-            "polygamma form of the half-argument difference is consistent",
-            "printed polygamma form doubles the half-argument coefficients; "
-            "fails against direct evaluation",
-        )
-    )
+    # The float64 Lagrange pair sum is good to 1e-10.
+    brute, moment = _lagrange_brute_force()
 
-    # Normalization constant of the log double gamma integral formula, as read.
-    const_dev = float(mpf(3) / 2 * mp.log(mp.pi))
-    entries.append(
-        _entry(
-            "vigneras-constant",
-            "additive constant -(3/2) log pi in the log-integral formula",
-            const_dev,
-            1e-25,
-            "normalization constant is consistent",
-            "a reading of the printed formula, not an evaluation of it: the "
-            "formula should vanish at the unit argument (the function value "
-            "there is 1), but its additive constant leaves -(3/2) log pi",
-        )
-    )
-
-    # First-derivative integral formula vs psi2(1).
-    didouble_ref = psi2_didouble(1)
-    entries.append(
-        _entry(
-            "didouble-integral-normalization",
-            "first-derivative integral formula at the unit argument",
-            # Read off the printed formula, not computed: it is 0 there.
-            abs(float(didouble_ref.value)),
-            didouble_ref.error,
-            "first-derivative integral formula is consistent",
-            "a reading of the printed formula, not an evaluation of it: it "
-            "reads 0 at the unit argument while the series gives ~1.1583; "
-            "for positive shifts its integrand even diverges like 1/t at the "
-            "origin - a sign/normalization convention gap",
-        )
-    )
-
-    # Order-two determinant remark: which squared entry is intended.
-    y = mpf(1)
-    n2 = 2
-    d0, d2 = psi2_cached(n2, y).value, psi2_cached(n2 + 2, y).value
-    printed = mpf(-1) ** (n2 + 1) * (d0 * d2 - d0 ** 2)
-    dev = abs(float(min(printed, mpf(0))))  # positivity violation magnitude
-    entries.append(
-        _entry(
-            "hankel-remark-reading",
-            "two-by-two determinant special case",
-            dev,
-            1e-20,
-            "printed two-by-two reading is consistent",
-            "printed reading (squaring the base-order entry, with an extra "
-            "alternating sign) is negative; the reading with the middle "
-            "entry squared and no sign factor matches the determinant case",
-        )
-    )
-
-    return entries
+    return [_entry(*row) for row in [
+        ("integral-representation", "Laplace transform of t^n/(1-e^-t)^2",
+         against_series(psi2_integral),
+         "quadrature of the kernel matches the series at all probes",
+         "integral representation disagrees with the series"),
+        ("polygamma-relation", "-n psi^(n-1) + (1-x) psi^(n)",
+         against_series(psi2_from_polygamma),
+         "polygamma combination matches the series",
+         "polygamma combination disagrees with the series"),
+        ("zeta-closed-form", "(-1)^(n+1) n! (zeta(n,x) + (1-x) zeta(n+1,x))",
+         against_series(psi2_zeta_form),
+         "Hurwitz-zeta closed form matches the series",
+         "Hurwitz-zeta closed form disagrees with the series"),
+        ("recurrence", "psi2^(n)(x+1) + psi^(n)(x) = psi2^(n)(x)",
+         [(series(n, x + 1) + Approx.of(polygamma(n, x)), series(n, x)) for n, x in probes],
+         "recurrence holds at all probes",
+         "recurrence fails"),
+        ("lagrange-expansion",
+         "sum over pairs k<j of (k-j)^2 (1+k)(1+j) [(x+k)(x+j)]^(-n-2)",
+         [(Approx(brute, 1e-10), moment)],
+         "pairwise double sum matches n!^2 (S_n S_{n+2} - S_{n+1}^2)",
+         "pairwise double sum disagrees with the moment form"),
+        # The derived expansion with its exact remainder is an identity.
+        ("asymptotic-derived-identity",
+         "expansion with re-derived sigma_n, tau_n and remainder on",
+         [(series(n, x + 1), Approx.of(psi2_asymptotic(PolyDoubleArg(n, x), N)))
+          for n, x, N in [(2, mpf(2), 3), (3, mpf(10), 4), (5, mpf(1), 6)]],
+         "re-derived expansion plus remainder reproduces the series",
+         "re-derived expansion fails against the series"),
+        ("sigma-printed-form", "Bernoulli block sum with (2k+n-1)!/x^(2k+n)",
+         [(ref, closed + sigma_printed + tau)],
+         "printed Bernoulli block sum is consistent",
+         "printed sign/exponent/factorial fail the identity; the derived "
+         "(-1)^n (2k+n)!/x^(2k+n+1) form is used"),
+        ("tau-printed-form", "remainder integral with t^(n-3) weight and k starting at 1",
+         [(ref, closed + sigma_derived + (-1) ** (n + 1) * tau_printed)],
+         "printed remainder integrand is consistent",
+         "printed remainder fails the identity (and its integrand "
+         "diverges like 1/t at the origin for n = 2); the derived "
+         "(-1)^n t^(n-2), k >= 0 form is used"),
+        ("remark-zeta-half-argument", "half-argument difference in Hurwitz-zeta terms",
+         [(direct, zeta_printed)],
+         "zeta-form of the half-argument difference is consistent",
+         "printed zeta form carries doubled half-argument coefficients "
+         "and a flipped relative sign; fails against direct evaluation"),
+        ("remark-polygamma-half-argument",
+         "half-argument difference in polygamma terms",
+         [(direct, polygamma_printed)],
+         "polygamma form of the half-argument difference is consistent",
+         "printed polygamma form doubles the half-argument coefficients; "
+         "fails against direct evaluation"),
+        # The log double gamma integral formula at the unit argument, as read.
+        ("vigneras-constant", "additive constant -(3/2) log pi in the log-integral formula",
+         [(-(mpf(3) / 2) * Approx.rounded(mp.log(mp.pi)), 0)],
+         "normalization constant is consistent",
+         "a reading of the printed formula, not an evaluation of it: the "
+         "formula should vanish at the unit argument (the function value "
+         "there is 1), but its additive constant leaves -(3/2) log pi"),
+        # The first-derivative formula is read off as 0 there, not computed.
+        ("didouble-integral-normalization",
+         "first-derivative integral formula at the unit argument",
+         [(0, Approx.of(psi2_didouble(1)))],
+         "first-derivative integral formula is consistent",
+         "a reading of the printed formula, not an evaluation of it: it "
+         "reads 0 at the unit argument while the series gives ~1.1583; "
+         "for positive shifts its integrand even diverges like 1/t at the "
+         "origin - a sign/normalization convention gap"),
+        ("hankel-remark-reading", "two-by-two determinant special case",
+         [(Approx(min(hankel_printed.value, 0), hankel_printed.error), 0)],
+         "printed two-by-two reading is consistent",
+         "printed reading (squaring the base-order entry, with an extra "
+         "alternating sign) is negative; the reading with the middle "
+         "entry squared and no sign factor matches the determinant case"),
+    ]]

@@ -27,6 +27,7 @@ from polydgamma import (
     psi2_series,
     psi2_zeta_form,
 )
+from polydgamma import polydg
 from polydgamma.polydg import (
     _kernel_density,
     asymptotic_bernoulli_sum,
@@ -34,6 +35,13 @@ from polydgamma.polydg import (
     asymptotic_remainder,
     psi2_grid,
 )
+from polydgamma.specfun import EvalResult
+
+def _zeta(s, a):
+    """zeta(s, a) = (-1)^s psi^(s-1)(a) / (s-1)!.  60-digit mp.zeta itself is
+    no oracle: it is 2.3e-10 relative off at (36, 694.94)."""
+    return (-1) ** s * mp.psi(s - 1, a) / mp.factorial(s - 1)
+
 
 # Independent 50-digit oracles (frozen).
 PSI2_ORACLE = {
@@ -160,9 +168,41 @@ class TestRoutesAgainstOracles:
         r = psi2_series(PolyDoubleArg(n, x))
         with mp.workdps(60):
             ref = (-1) ** (n + 1) * mp.factorial(n) * (
-                mp.zeta(n, x) + (1 - x) * mp.zeta(n + 1, x)
+                _zeta(n, x) + (1 - x) * _zeta(n + 1, x)
             )
             assert abs(r.value - ref) <= r.error
+
+
+def test_combining_routes_cover_own_rounding(monkeypatch):
+    """polygamma and hurwitz_zeta return their values rounded to doubles,
+    claiming no error, so the same call at 60 digits differs from the one at
+    30 only by the rounding of the route's own combination, which its claim
+    must cover."""
+
+    def exact(f):
+        def rounded(*args):
+            with mp.workdps(30):
+                r = f(*args)
+            return EvalResult(mpf(float(r.value)), 0.0, r.method)
+
+        return rounded
+
+    monkeypatch.setattr(polydg, "polygamma", exact(polygamma))
+    monkeypatch.setattr(polydg, "hurwitz_zeta", exact(polydg.hurwitz_zeta))
+    routes = {
+        "polygamma": psi2_from_polygamma,
+        "zeta-form": psi2_zeta_form,
+        "asymptotic": lambda arg: psi2_eval(arg, "asymptotic"),
+        "didouble": lambda arg: psi2_didouble(arg.x),
+    }
+    for n in (2, 5, 17, 40):
+        for x in (0.001, 0.37, 3.3, 77.7, 5000.5):
+            arg = PolyDoubleArg(n, x)
+            for name, route in routes.items():
+                r = route(arg)
+                with mp.workdps(60):
+                    ref = route(arg).value
+                assert abs(r.value - ref) <= r.error, (name, n, x)
 
 
 class TestStructure:

@@ -127,7 +127,9 @@ def _remainder_closed_form(p, x, n_blocks, first):
     from t/(e^t - 1) = sum_{j>=1} t e^(-jt) term by term."""
     with mp.workdps(60):
         x = mpf(x)
-        value = mp.factorial(p + 1) * mp.zeta(p + 2, x + 1)
+        # (p+1)! zeta(p+2, a) = (-1)^p psi^(p+1)(a); mp.zeta is no oracle
+        # at 60 digits (2.3e-10 relative off at (36, 694.94)).
+        value = (-1) ** p * mp.psi(p + 1, x + 1)
         for k in range(first, 2 * n_blocks + 1):
             value -= mp.bernoulli(k) * mp.factorial(p + k) / (
                 mp.factorial(k) * x ** (p + k + 1)

@@ -17,6 +17,13 @@ from polydgamma.specfun import (
     rounding_unit,
 )
 
+
+def _zeta(s, a):
+    """zeta(s, a) = (-1)^s psi^(s-1)(a) / (s-1)!.  60-digit mp.zeta itself is
+    no oracle: it is 2.3e-10 relative off at (36, 694.94)."""
+    return (-1) ** s * mp.psi(s - 1, a) / mp.factorial(s - 1)
+
+
 # Independent 50-digit oracles (frozen).
 ORACLE = {
     ("zeta", 3, "1.5"): "0.41439832211715999779816713058",
@@ -103,7 +110,7 @@ class TestHurwitzZeta:
         a = mpf(10.0 ** log10_a)
         r = hurwitz_zeta(s, a)
         with mp.workdps(60):
-            assert abs(r.value - mp.zeta(s, a)) <= r.error
+            assert abs(r.value - _zeta(s, a)) <= r.error
 
 
 class TestEulerMaclaurin:
@@ -114,7 +121,7 @@ class TestEulerMaclaurin:
                 a = mpf(a)
                 r = hurwitz_zeta(s, a)
                 with mp.workdps(60):
-                    ref = mp.zeta(s, a)
+                    ref = _zeta(s, a)
                     assert abs(r.value - ref) <= r.error + 1e-28 * ref
 
 
@@ -215,4 +222,4 @@ class TestAboveWorkingPrecision:
             hz = hurwitz_zeta(n, x)
             with mp.workdps(80):
                 assert abs(pg.value - mp.psi(n, x)) <= pg.error
-                assert abs(hz.value - mp.zeta(n, x)) <= hz.error
+                assert abs(hz.value - _zeta(n, x)) <= hz.error
