@@ -39,12 +39,12 @@ from .specfun import (
     SHIFT_THRESHOLD,
     Approx,
     EvalResult,
-    _EM_WEIGHTS,
+    EM_WEIGHTS,
     _smallest_term_sum,
-    euler_maclaurin_tail,
     hurwitz_zeta,
     log_gamma,
     polygamma,
+    power_sum,
     rounding_unit,
 )
 
@@ -84,28 +84,17 @@ def _kernel_density(n: int, t):
 def psi2_series(arg: PolyDoubleArg) -> EvalResult:
     """Canonical series evaluation; every other route is audited against it.
 
-    The term (1+t)/(x+t)^(n+1) splits as (x+t)^-n + (1-x)(x+t)^-(n+1), so
-    both the tail integral and all Euler-Maclaurin derivative corrections
-    are available in closed form.
+    The term (1+k)/(x+k)^(n+1) splits as (x+k)^-n + (1-x)(x+k)^-(n+1), so
+    the sum is :func:`power_sum` at (x, n, 1 - x), 1 - x taken exactly, its
+    tail corrections stopping at 10^-(dps+2) of the head plus the tail's
+    leading integral.  The error is n! times the kernel's (truncation and
+    its counted floors) plus |value| * H * rounding_unit(), H being its
+    head terms, and the 1e-30 floor.
     """
     n, x = arg.n, arg.x
-    c = 1 - x
-    sign = mpf(-1) ** (n + 1)
     fact = mp.factorial(n)
-
-    head_terms = max(8, int(mp.ceil(SHIFT_THRESHOLD + 10 - x)))
-    head = mpf(0)
-    for k in range(head_terms):
-        head += (1 + k) * (x + k) ** (-(n + 1))
-
-    base = x + head_terms
-    # Stop relative to the whole sum, head plus the tail's leading integral.
-    scale = head + base ** (1 - n) / (n - 1)
-    tail, err = euler_maclaurin_tail(
-        [(1, base, n), (c, base, n + 1)], mpf(10) ** (-mp.dps - 2) * scale
-    )
-    value = sign * fact * (head + tail)
-    # Each head term is rounded at working precision.
+    s, err, head_terms = power_sum(x, n, mp.fsub(1, x, exact=True))
+    value = mpf(-1) ** (n + 1) * fact * s
     rounding = abs(value) * head_terms * rounding_unit()
     return EvalResult(
         value=value, error=float(fact * err + rounding) + 1e-30, method="series"
@@ -384,7 +373,7 @@ def psi2_cached(n: int, x) -> EvalResult:
 
 # Head terms summed directly before the Euler-Maclaurin tail of psi2_grid.
 GRID_HEAD_TERMS = 20
-_EM_FLOAT_WEIGHTS = tuple(float(w) for w in _EM_WEIGHTS)
+_EM_FLOAT_WEIGHTS = tuple(w.numerator / w.denominator for w in EM_WEIGHTS)
 
 
 def psi2_grid(n: int, x) -> Approx:

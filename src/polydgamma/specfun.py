@@ -3,10 +3,12 @@
 Bernoulli numbers (exact rationals, rounded once to mpf), log-gamma,
 digamma/polygamma and the Hurwitz zeta function, each evaluated with a
 controlled absolute error.
-All arithmetic runs through mpmath at a fixed working precision; every
-non-trivial evaluation returns an :class:`EvalResult` carrying an explicit
-error estimate, so downstream code never has to guess how many digits are
-trustworthy.
+All arithmetic runs through mpmath at a fixed working precision, except
+the one Euler-Maclaurin engine, :func:`power_sum`, which sums the Hurwitz
+zeta and psi2^(n) series in Python integers a little wider than it, with
+exact weights, and counts its own floors.  Every non-trivial evaluation
+returns an :class:`EvalResult` carrying an explicit error estimate, so
+downstream code never has to guess how many digits are trustworthy.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -40,11 +43,17 @@ SHIFT_THRESHOLD = 12.0
 def rounding_unit() -> mpf:
     """Relative rounding of one operation, as claimed errors count it.
 
-    10^-mp.dps, but never below 10^-WORKING_DPS: the Bernoulli table, the
-    Euler-Maclaurin weights and the constants are built once at import, so
-    raising mp.dps later does not make them any more accurate.  Stop rules
-    still use 10^-mp.dps: more terms never hurt.
+    10^-mp.dps, but never below 10^-WORKING_DPS: the Bernoulli table and the
+    constants are built once at import, so raising mp.dps later does not
+    make them any more accurate.  Stop rules still use 10^-mp.dps: more
+    terms never hurt.  Cached per mp.prec, which fixes both mp.dps and the
+    rounding of the unit itself.
     """
+    return _rounding_unit(mp.prec)
+
+
+@lru_cache(maxsize=None)
+def _rounding_unit(prec: int) -> mpf:
     return mpf(10) ** (-min(mp.dps, WORKING_DPS))
 
 
@@ -152,15 +161,17 @@ def _bernoulli_fractions(capacity: int) -> tuple:
     return tuple(values)
 
 
+_BERNOULLI_FRACTIONS = _bernoulli_fractions(64)
+
 # Bernoulli numbers B_0..B_64 as mpf at working precision, converted once;
 # the asymptotic series read B_2k for k up to len(BERNOULLI) // 2.
-BERNOULLI = tuple(
-    mpf(b.numerator) / mpf(b.denominator) for b in _bernoulli_fractions(64)
-)
+BERNOULLI = tuple(mpf(b.numerator) / mpf(b.denominator) for b in _BERNOULLI_FRACTIONS)
 
-# Euler-Maclaurin correction weights B_2j / (2j)!, j = 1..14: the most
-# corrections the engine applies before reporting what it has.
-_EM_WEIGHTS = tuple(BERNOULLI[2 * j] / mp.factorial(2 * j) for j in range(1, 15))
+# Euler-Maclaurin correction weights B_2j / (2j)!, j = 1..14, exact: the
+# most corrections power_sum applies before reporting what it has.
+EM_WEIGHTS = tuple(
+    _BERNOULLI_FRACTIONS[2 * j] / math.factorial(2 * j) for j in range(1, 15)
+)
 
 
 @dataclass(frozen=True)
@@ -179,67 +190,185 @@ CONSTANTS = Constants(
 )
 
 
-def euler_maclaurin_tail(terms, threshold):
-    """Sum_{k>=0} sum_i c_i (b_i + k)^(-p_i) by Euler-Maclaurin at k = 0.
+# Bits power_sum carries beyond mp.prec and the bit length of its order.
+_GUARD_BITS = 20
 
-    ``terms`` lists triples (c_i, b_i, p_i) with b_i > 0 and integer
-    p_i >= 2.  The closed-form integral and the half term are followed by
-    at most 14 corrections B_2j/(2j)! f^(2j-1)(0), which stop once two
-    consecutive ones fall below ``threshold``: the terms can cancel exactly
-    in one correction at isolated arguments.  Returns (value, error), the
-    error being the larger of the last two corrections.
+
+def _floor_bits(man, exp, k, w):
+    """(m, e), m 2^e a lower bound on man 2^exp + k (man, k >= 0, not both
+    0) with m < 2^w, short of it by less than 2^(3-w) relative."""
+    top = man.bit_length() + exp
+    if k:
+        top = max(top, k.bit_length())
+    e = top + 1 - w
+    m = man << (exp - e) if exp >= e else man >> (e - exp)
+    return m + (k << -e if e < 0 else k >> e), e
+
+
+def _floor_pow(m, e, q, w):
+    """(M, E), M 2^E a lower bound on (m 2^e)^q by binary powering, each
+    product truncated to w bits."""
+    r, re = m, e
+    for bit in bin(q)[3:]:
+        r, re = r * r, 2 * re
+        if bit == "1":
+            r, re = r * m, re + e
+        shift = r.bit_length() - w
+        if shift > 0:
+            r, re = r >> shift, re + shift
+    return r, re
+
+
+def _mul(x, y, w):
+    """Product of two (mantissa, exponent) pairs, truncated to w bits."""
+    m, e = x[0] * y[0], x[1] + y[1]
+    shift = abs(m).bit_length() - w
+    return (m >> shift, e + shift) if shift > 0 else (m, e)
+
+
+def _fixed(x, f, num=1, den=1):
+    """floor(m 2^e num / den) on the grid 2^-f, for x = (m, e), den > 0."""
+    m, shift = x[0] * num, x[1] + f
+    return (m << shift) // den if shift >= 0 else (m >> -shift) // den
+
+
+def power_sum(a, p: int, c=0, stop=None):
+    """S = sum_{k>=0} [(a+k)^(-p) + c (a+k)^(-(p+1))] in fixed point.
+
+    ``a`` > 0 and ``c`` are mpf numbers taken exactly, with a + c > 0, and
+    p >= 2 an integer, so every term (a+k+c)/(a+k)^(p+1) is positive.  The
+    sum runs in Python integers on the grid 2^-F, F being chosen so that
+    the first term or the leading integral of the tail (a lower bound on S)
+    spans w = mp.prec + 20 + bitlength(p+32) + 6 bits, whatever a and p.
+    So no integer grows past about 2w bits plus a log term in p.
+
+    H = max(8, ceil(22 - a)) head terms come first: a + k floored to w
+    bits, raised to q = p + 1 (q = p and numerator 1 when c = 0) by binary
+    powering truncated to w bits after each product, then one floored
+    division of the exact numerator a + k + c by it.  A floored base is
+    short by under 2^(3-w) relative and a truncation by under 2^(1-w), so
+    by induction on q (E(2j) = 2E(j) + 2^(1-w), E(2j+1) = 2E(j) + 2^(3-w) +
+    2^(1-w)) a truncated q-th power is short by under q 2^(4-w).  The tail
+    at b = a + H is Euler-Maclaurin at k = 0: the integral, the half term
+    and at most 14 corrections B_2j/(2j)! f^(2j-1)(b), from the exact
+    weights EM_WEIGHTS and the derivative recurrence on (mantissa,
+    exponent) pairs of w bits.  Corrections stop once two consecutive ones
+    fall below ``stop`` (a stop above 2^w S counts as 2^w S) or, by default,
+    below 10^-(dps+2) of the head plus the leading integral b^(1-p)/(p-1):
+    the terms can cancel exactly in one correction at isolated arguments.
+
+    Returns (S, error, H).  The error is the truncation, the larger of the
+    last two corrections, plus what the kernel counts of its own rounding:
+    each summed term is within rho = (p + 32) 2^(6-w) of its exact value
+    before its floor, which adds under one unit of 2^-F.  S itself is
+    rounded once more to mp.prec, which the callers count.
     """
-    total = mpf(0)
-    derivs = []  # per term: [c (p)_q b^(-p-q), p + q, b^-2] at odd q = 1, 3, ...
-    for c, b, p in terms:
-        b = mpf(b)
-        power = b ** (-p)
-        total += c * b ** (1 - p) / (p - 1)
-        total += c * power / 2
-        derivs.append([c * p * power / b, p + 1, 1 / (b * b)])
-    prev = err = mpf("inf")
-    for weight in _EM_WEIGHTS:
-        # f^(q)(0) = -c (p)_q b^(-p-q) for odd q, and the correction is
-        # subtracted, so it enters with a plus sign.
-        term = weight * sum(d[0] for d in derivs)
+    w = mp.prec + _GUARD_BITS + (p + 32).bit_length() + 6
+    _, am, ae, _ = a._mpf_
+    sign, cm, ce, _ = (c if isinstance(c, mpf) else mpf(c))._mpf_
+    cm = -cm if sign else cm
+    dm, de = am, ae  # d = a + c, exact
+    if c:
+        de = min(ae, ce)
+        dm = (am << (ae - de)) + (cm << (ce - de))
+        zeros = (dm & -dm).bit_length() - 1
+        dm, de = dm >> zeros, de + zeros
+    # c truncated to w bits.
+    shift = max(0, abs(cm).bit_length() - w)
+    c_w = (cm >> shift, ce + shift)
+    q = p + 1 if c else p
+    head_terms = max(8, int(mp.ceil(SHIFT_THRESHOLD + 10 - a)))
+
+    # (numerator, power) of each head term; the numerator is 1 when c = 0.
+    head = []
+    for k in range(head_terms):
+        m, e = _floor_bits(am, ae, k, w)
+        if not c:
+            numerator = (1, 0)
+        elif de >= 0:
+            numerator = ((dm << de) + k, 0)
+        else:
+            numerator = (dm + (k << -de), de)
+        head.append((numerator, _floor_pow(m, e, q, w)))
+    b = _floor_bits(am, ae, head_terms, w)
+    big_m, big_e = _floor_pow(*b, p, w)
+    inv_pow = ((1 << 2 * w) // big_m, -2 * w - big_e)  # b^-p
+    inv_b = ((1 << 2 * w) // b[0], -2 * w - b[1])
+    inv_b2 = ((1 << 3 * w) // (b[0] * b[0]), -3 * w - 2 * b[1])
+
+    # S is at least its first term and, but for the roughness of the sum
+    # against its integral, the tail's (b + c) b^-p / p.
+    (num_m, num_e), (pow_m, pow_e) = head[0]
+    first = num_m.bit_length() + num_e - pow_m.bit_length() - pow_e - 1
+    top_m, top_e = _floor_bits(dm, de, head_terms, w)
+    integral = (top_m.bit_length() + top_e + inv_pow[0].bit_length() + inv_pow[1]
+                - 2 - p.bit_length())
+    f = w - max(first, integral)
+
+    total = 0
+    for numerator, (pow_m, pow_e) in head:
+        total += _fixed(numerator, f - pow_e, 1, pow_m)
+    c_pow = _mul(c_w, inv_pow, w)
+    lead = _fixed(_mul(b, inv_pow, w), f, 1, p - 1)
+    if stop is None:
+        threshold = (total + lead) // 10 ** (mp.dps + 2)
+    elif mp.mag(stop) + f < 2 * w:
+        threshold = _fixed(mpf(stop).man_exp, f)
+    else:
+        threshold = 1 << 2 * w
+    parts = [
+        total,
+        lead,
+        _fixed(c_pow, f, 1, p),
+        _fixed(inv_pow, f, 1, 2),
+        _fixed(_mul(c_pow, inv_b, w), f, 1, 2),
+    ]
+    total = sum(parts)
+    magnitude = sum(abs(t) for t in parts)
+    floors = head_terms + 4
+    # f^(q)(b) = -(p)_q b^(-p-q) - c (p+1)_q b^(-p-1-q) at odd q, and the
+    # correction -B_2j/(2j)! f^(2j-1)(b) enters with a plus sign.
+    d1 = _mul(_mul(inv_pow, inv_b, w), (p, 0), w)
+    d2 = _mul(_mul(c_pow, inv_b2, w), (p + 1, 0), w)
+    prev = err = math.inf
+    for j, weight in enumerate(EM_WEIGHTS):
+        num, den = weight.numerator, weight.denominator
+        term = _fixed(d1, f, num, den) + _fixed(d2, f, num, den)
         total += term
+        magnitude += abs(term)
+        floors += 2
         err = max(abs(term), prev)
         if err < threshold:
             break
         prev = abs(term)
-        for d in derivs:
-            d[0] *= d[1] * (d[1] + 1) * d[2]
-            d[1] += 2
-    return total, err
+        r = p + 2 * j + 1
+        d1 = _mul(_mul(d1, inv_b2, w), (r * (r + 1), 0), w)
+        d2 = _mul(_mul(d2, inv_b2, w), ((r + 1) * (r + 2), 0), w)
+    rounding = floors + ((p + 32) * (magnitude + floors) >> (w - 7)) + 1
+    return (
+        mpf((total, -f)),
+        mp.ldexp(mpf(err + rounding), -f),
+        head_terms,
+    )
 
 
 def hurwitz_zeta(s: int, a) -> EvalResult:
     """zeta(s, a) = sum_{k>=0} (k+a)^(-s) for integer s >= 2, a > 0.
 
-    Direct summation until k + a clears the shift threshold, then the
-    Euler-Maclaurin tail of :func:`euler_maclaurin_tail`.  The reported
-    error is the larger of its last two corrections plus the rounding of
-    the head, head * n_direct * rounding_unit(): its terms are positive, so
-    no cancellation hides their size.
+    :func:`power_sum` at (a, s, 0), its tail corrections stopping once two
+    consecutive ones fall below max(1e-18, 10^-(dps+2)), an absolute stop.
+    The reported error is the kernel's plus value * H * rounding_unit(),
+    H being its head terms: the rounding of a head summed in mpf.
     """
     if s < 2 or int(s) != s:
         raise DomainError("hurwitz_zeta requires an integer s >= 2")
     a = mpf(a)
     if a <= 0:
         raise DomainError("hurwitz_zeta requires a > 0")
-    s = int(s)
-
-    n_direct = max(8, int(mp.ceil(SHIFT_THRESHOLD + 10 - a)))
-    head = mpf(0)
-    for k in range(n_direct):
-        head += (a + k) ** (-s)
-
-    threshold = max(mpf(ABS_TOL) * mpf("1e-6"), mpf(10) ** (-mp.dps - 2))
-    tail, err = euler_maclaurin_tail([(1, a + n_direct, s)], threshold)
-    rounding = head * n_direct * rounding_unit()
-    return EvalResult(
-        value=head + tail, error=float(err + rounding), method="euler-maclaurin"
-    )
+    stop = max(mpf(ABS_TOL) * mpf("1e-6"), mpf(10) ** (-mp.dps - 2))
+    value, err, head_terms = power_sum(a, int(s), 0, stop)
+    rounding = value * head_terms * rounding_unit()
+    return EvalResult(value=value, error=float(err + rounding), method="euler-maclaurin")
 
 
 def _smallest_term_sum(total, term, last=len(BERNOULLI) // 2, small=0):

@@ -5,6 +5,7 @@ through the Hurwitz-zeta reduction (for psi2^(n)), direct series summation
 (for psi2), and an independent Barnes-G implementation (for log G)."""
 
 import math
+import random
 import time
 
 import numpy as np
@@ -171,6 +172,30 @@ class TestRoutesAgainstOracles:
                 _zeta(n, x) + (1 - x) * _zeta(n + 1, x)
             )
             assert abs(r.value - ref) <= r.error
+
+    @pytest.mark.parametrize("dps", [30, 50])
+    def test_series_claims_cover_polygamma_truth(self, dps):
+        # -n psi^(n-1)(x) + (1-x) psi^(n)(x) at 60 digits, over the orders
+        # whose n! fits a double and arguments far past the head's reach.
+        rng = random.Random(19)
+        with mp.workdps(dps):
+            for _ in range(400):
+                n, x = rng.randint(2, 170), mpf(10 ** rng.uniform(-3, 12))
+                r = psi2_series(PolyDoubleArg(n, x))
+                with mp.workdps(60):
+                    truth = -n * mp.psi(n - 1, x) + (1 - x) * mp.psi(n, x)
+                    assert abs(r.value - truth) <= r.error, (n, x)
+
+    @pytest.mark.parametrize(
+        "n,x", [(100000, "2.5"), (40, "1e100000"), (3, "1e-100000"), (170, "1e-300")]
+    )
+    def test_series_extreme_arguments_return_promptly(self, n, x):
+        # Powers are truncated to the kernel's width after every product, so
+        # neither the order nor the exponent of x makes its integers grow.
+        start = time.perf_counter()
+        r = psi2_series(PolyDoubleArg(n, mpf(x)))
+        assert time.perf_counter() - start < 1.0
+        assert mp.isfinite(r.value) and (r.value > 0) == (n % 2 == 1)
 
 
 def test_combining_routes_cover_own_rounding(monkeypatch):

@@ -2,6 +2,7 @@
 log-gamma.  Frozen reference values were generated independently at 50
 decimal digits and are trusted well beyond every tolerance used here."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from polydgamma.specfun import (
     WORKING_DPS,
     _bernoulli_fractions,
     _polygamma_asymptotic,
+    power_sum,
     rounding_unit,
 )
 
@@ -114,6 +116,27 @@ class TestHurwitzZeta:
 
 
 class TestEulerMaclaurin:
+    def test_claims_cover_polygamma_form(self):
+        rng = random.Random(41)
+        for s in range(2, 42):
+            for _ in range(8):
+                a = mpf(10 ** rng.uniform(-3, 4))
+                r = hurwitz_zeta(s, a)
+                with mp.workdps(60):
+                    assert abs(r.value - _zeta(s, a)) <= r.error, (s, a)
+
+    @pytest.mark.parametrize("a,p,c", [("2.375", 5, "-2"), ("0.01", 3, "7.5"), ("40", 17, "-39.5")])
+    def test_power_sum_with_coefficient(self, a, p, c):
+        # sum_k (a+k)^-p + c (a+k)^-(p+1) = zeta(p, a) + c zeta(p+1, a).
+        a, c = mpf(a), mpf(c)
+        value, error, _ = power_sum(a, p, c)
+        # The callers count the one rounding of S to mp.prec.
+        rounded = abs(value) * 2 ** (1 - mp.prec)
+        with mp.workdps(60):
+            truth = _zeta(p, a) + c * _zeta(p + 1, a)
+            assert abs(value - truth) <= error + rounded
+            assert error <= 1e-25 * abs(truth)
+
     def test_against_mpmath_zeta(self):
         # hurwitz_zeta is a short direct head plus the engine's tail.
         for s in range(2, 42):
@@ -206,6 +229,20 @@ class TestLogGamma:
 class TestAboveWorkingPrecision:
     """The tables are built once at WORKING_DPS, so a higher mp.dps must not
     make the claimed errors any smaller than those digits support."""
+
+    def test_rounding_unit_cache_matches_fresh_unit(self):
+        # Keyed on mp.prec: 103 and 104 bits both read as 30 digits, but
+        # round 10^-30 differently.
+        def fresh():
+            return mpf(10) ** -min(mp.dps, WORKING_DPS)
+
+        for dps in (15, 30, 50):
+            with mp.workdps(dps):
+                assert rounding_unit() == fresh()
+        with mp.workprec(104):
+            assert mp.dps == WORKING_DPS
+            assert rounding_unit() == fresh()
+        assert rounding_unit() == fresh()
 
     def test_rounding_unit(self):
         assert rounding_unit() == mpf(10) ** -WORKING_DPS
