@@ -15,8 +15,12 @@ and the cache use it, and the other routes are explicit choices that the
 identity audit also checks.  The routes that combine other results compute
 their formulas in :class:`Approx`, so their claimed errors count the
 rounding of the combination.
-The series tail of psi2^(n) is summed by the one Euler-Maclaurin engine in
-:mod:`specfun`; log G comes from Barnes' asymptotic expansion.
+The series of psi2^(n) is summed by the one Euler-Maclaurin engine in
+:mod:`specfun`, :func:`power_sum`; log G comes from Barnes' asymptotic
+expansion, whose Bernoulli series :func:`asymptotic_sum` sums, as it does
+those of log Gamma and psi^(n).  Both kernels run in Python integers a
+little wider than the working precision, with exact coefficients, and count
+their own floors.
 Differentiation in x is closed: d/dx psi2^(n) = psi2^(n+1), so
 derivative-sign questions downstream reduce to direct evaluations.
 """
@@ -34,18 +38,21 @@ from mpmath import mp, mpf
 from .errors import DomainError
 from .quadrature import integrate_de, integrate_panels
 from .specfun import (
+    BARNES_COEFFS,
     BERNOULLI,
     CONSTANTS,
     SHIFT_THRESHOLD,
     Approx,
     EvalResult,
     EM_WEIGHTS,
-    _smallest_term_sum,
+    asymptotic_sum,
     hurwitz_zeta,
     log_gamma,
     polygamma,
     power_sum,
+    recurrence_shift,
     rounding_unit,
+    stop_scale,
 )
 
 METHODS = ("auto", "series", "polygamma", "integral", "asymptotic")
@@ -84,16 +91,15 @@ def _kernel_density(n: int, t):
 def psi2_series(arg: PolyDoubleArg) -> EvalResult:
     """Canonical series evaluation; every other route is audited against it.
 
-    The term (1+k)/(x+k)^(n+1) splits as (x+k)^-n + (1-x)(x+k)^-(n+1), so
-    the sum is :func:`power_sum` at (x, n, 1 - x), 1 - x taken exactly, its
-    tail corrections stopping at 10^-(dps+2) of the head plus the tail's
-    leading integral.  The error is n! times the kernel's (truncation and
-    its counted floors) plus |value| * H * rounding_unit(), H being its
-    head terms, and the 1e-30 floor.
+    The sum of (1+k)/(x+k)^(n+1) is :func:`power_sum` at (x, n) with
+    numerator offset 1, its tail corrections stopping at 10^-(dps+2) of the
+    head plus the tail's leading integral.  The error is n! times the
+    kernel's (truncation and its counted floors) plus |value| * H *
+    rounding_unit(), H being its head terms, and the 1e-30 floor.
     """
     n, x = arg.n, arg.x
     fact = mp.factorial(n)
-    s, err, head_terms = power_sum(x, n, mp.fsub(1, x, exact=True))
+    s, err, head_terms = power_sum(x, n, 1)
     value = mpf(-1) ** (n + 1) * fact * s
     rounding = abs(value) * head_terms * rounding_unit()
     return EvalResult(
@@ -329,7 +335,7 @@ def _via_asymptotic(arg: PolyDoubleArg) -> EvalResult:
     # psi2^(n)(x) = expansion at x-1 less tau; recurrence-shift first if x is
     # small.  The first omitted Bernoulli block stands for the dropped tau.
     n, x = arg.n, arg.x
-    shift = max(0, int(mp.ceil(SHIFT_THRESHOLD + 1 - x)))
+    shift = recurrence_shift(x, SHIFT_THRESHOLD + 1)
     head = sum(Approx.of(polygamma(n, x + i)) for i in range(shift))
     base = PolyDoubleArg(n, x + shift - 1)
     sigma, omitted = asymptotic_bernoulli_sum(base, ASYMPTOTIC_TERMS)
@@ -476,20 +482,22 @@ def log_barnes_g(x) -> EvalResult:
                      + zeta'(-1) + sum_{k>=1} B_{2k+2} / (4k(k+1) z^(2k)),
 
     is truncated at its smallest term, or before the first term below
-    10^-(dps+2) times the leading terms.  A smaller x is shifted up by
-    m = ceil(SHIFT_THRESHOLD + 1 - x) through the closed form
+    10^-(dps+2) times the magnitudes of the leading terms; its series is
+    summed in fixed point by :func:`asymptotic_sum`.  A smaller x is shifted
+    up by m = ceil(SHIFT_THRESHOLD + 1 - x) through the closed form
 
         log G(x) = log G(x+m) - m log Gamma(x+m) + sum_{j<m} (j+1) log(x+j),
 
     one log-gamma and m logs (m <= 13), so the cost does not grow with x.
-    The error is the first omitted term of the expansion plus the rounding
-    of the sum: the rounding unit times the number of summands times the
-    sum of their magnitudes.
+    The error is the first omitted term of the expansion and the kernel's
+    counted floors and truncated powers, plus the rounding of the sum: the
+    rounding unit times the number of leading summands times the sum of
+    their magnitudes.
     """
     x = mpf(x)
     if x <= 0:
         raise DomainError("log_barnes_g requires x > 0")
-    m = max(0, int(mp.ceil(SHIFT_THRESHOLD + 1 - x)))
+    m = recurrence_shift(x, SHIFT_THRESHOLD + 1)
     z = x + m - 1
     log_z = mp.log(z)
     parts = [
@@ -503,16 +511,11 @@ def log_barnes_g(x) -> EvalResult:
         parts.append(-m * log_gamma(x + m))
         parts.extend((j + 1) * mp.log(x + j) for j in range(m))
     magnitude = sum(abs(p) for p in parts)
-    # Terms stop counting below 10^-(dps+2) of the sum, but the claimed
-    # rounding uses rounding_unit(), which never passes the tables' digits.
-    eps = mpf(10) ** (-mp.dps)
-    # The k-th term needs B_{2k+2}, so the table stops the series one short
-    # of the other Bernoulli series.
-    total, omitted, _ = _smallest_term_sum(
-        sum(parts),
-        lambda k: BERNOULLI[2 * k + 2] / (4 * k * (k + 1) * z ** (2 * k)),
-        last=len(BERNOULLI) // 2 - 1,
-        small=eps / 100 * magnitude,
+    # Terms stop counting below 10^-(dps+2) of the parts' magnitudes, but
+    # the claimed rounding uses rounding_unit(), which never passes the
+    # constants' digits.
+    total, omitted, _ = asymptotic_sum(
+        sum(parts), BARNES_COEFFS, z, 2, stop_scale() * magnitude
     )
     err = omitted + len(parts) * magnitude * rounding_unit()
     return EvalResult(value=total, error=float(err), method="barnes-asymptotic")

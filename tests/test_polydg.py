@@ -187,14 +187,17 @@ class TestRoutesAgainstOracles:
                     assert abs(r.value - truth) <= r.error, (n, x)
 
     @pytest.mark.parametrize(
-        "n,x", [(100000, "2.5"), (40, "1e100000"), (3, "1e-100000"), (170, "1e-300")]
+        "n,x",
+        [(100000, "2.5"), (40, "1e100000"), (3, "1e-100000"), (170, "1e-300"),
+         (3, "1e100000000")],
     )
     def test_series_extreme_arguments_return_promptly(self, n, x):
-        # Powers are truncated to the kernel's width after every product, so
-        # neither the order nor the exponent of x makes its integers grow.
+        # Powers are truncated to the kernel's width after every product, and
+        # the offset 1 - x enters it floored to that width, so neither the
+        # order nor the exponent of x makes its integers grow.
         start = time.perf_counter()
         r = psi2_series(PolyDoubleArg(n, mpf(x)))
-        assert time.perf_counter() - start < 1.0
+        assert time.perf_counter() - start < 0.1
         assert mp.isfinite(r.value) and (r.value > 0) == (n % 2 == 1)
 
 

@@ -2,21 +2,25 @@
 log-gamma.  Frozen reference values were generated independently at 50
 decimal digits and are trusted well beyond every tolerance used here."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from polydgamma import DomainError, hurwitz_zeta, log_gamma, polygamma
+from polydgamma import DomainError, hurwitz_zeta, log_barnes_g, log_gamma, polygamma
 from polydgamma.specfun import (
     BERNOULLI,
     WORKING_DPS,
     _bernoulli_fractions,
     _polygamma_asymptotic,
     power_sum,
+    recurrence_shift,
     rounding_unit,
+    stop_scale,
 )
 
 
@@ -127,9 +131,10 @@ class TestEulerMaclaurin:
 
     @pytest.mark.parametrize("a,p,c", [("2.375", 5, "-2"), ("0.01", 3, "7.5"), ("40", 17, "-39.5")])
     def test_power_sum_with_coefficient(self, a, p, c):
-        # sum_k (a+k)^-p + c (a+k)^-(p+1) = zeta(p, a) + c zeta(p+1, a).
+        # sum_k (a+k+c)/(a+k)^(p+1) = zeta(p, a) + c zeta(p+1, a), the
+        # numerator offset a + c handed over exactly.
         a, c = mpf(a), mpf(c)
-        value, error, _ = power_sum(a, p, c)
+        value, error, _ = power_sum(a, p, mp.fadd(a, c, exact=True))
         # The callers count the one rounding of S to mp.prec.
         rounded = abs(value) * 2 ** (1 - mp.prec)
         with mp.workdps(60):
@@ -224,6 +229,88 @@ class TestLogGamma:
     def test_functional_equation(self, x):
         x = mpf(x)
         assert abs(log_gamma(x + 1) - log_gamma(x) - mp.log(x)) < 1e-20
+
+
+class TestAsymptoticSum:
+    """log Gamma, log G and psi^(n) sum their Bernoulli asymptotic series on
+    the fixed-point kernel asymptotic_sum."""
+
+    ORDERS = (0, 1, 2, 5, 10, 20, 40, 60, 100)
+
+    @pytest.mark.parametrize("dps", [30, 50])
+    def test_claims_cover_mpmath(self, dps):
+        # Worst miss/claim over 40 seeded x in [1e-3, 1e4]: about 0.49 for
+        # polygamma, 0.017 for log G and 0.041 for log_gamma's stated bound.
+        rng = random.Random(20)
+        worst = {"polygamma": 0, "log_barnes_g": 0, "log_gamma": 0}
+        with mp.workdps(dps):
+            for _ in range(40):
+                x = mpf(10 ** rng.uniform(-3, 4))
+                for n in self.ORDERS:
+                    r = polygamma(n, x)
+                    with mp.workdps(80):
+                        miss = abs(r.value - mp.psi(n, x)) / r.error
+                    worst["polygamma"] = max(worst["polygamma"], miss)
+                r = log_barnes_g(x)
+                with mp.workdps(60):
+                    miss = abs(r.value - mp.log(mp.barnesg(x))) / r.error
+                worst["log_barnes_g"] = max(worst["log_barnes_g"], miss)
+                value = log_gamma(x)
+                with mp.workdps(60):
+                    truth = mp.loggamma(x)
+                    shift = recurrence_shift(x)
+                    magnitude = abs(truth) + sum(abs(mp.log(x + i)) for i in range(shift))
+                    claim = (shift + 6) * rounding_unit() * magnitude
+                    worst["log_gamma"] = max(worst["log_gamma"], abs(value - truth) / claim)
+        assert max(worst.values()) <= 1, worst
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: EvalResult.error is a float, so a claim below "
+        "the double range underflows to 0",
+    )
+    def test_claim_below_double_range(self):
+        x = mpf("6518.68")
+        r = polygamma(170, x)
+        with mp.workdps(80):
+            assert abs(r.value - mp.psi(170, x)) <= r.error
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 40])
+    @pytest.mark.parametrize("y", ["12", "12.7", "30", "1e4"])
+    def test_stop_rules_match_mpf_terms(self, n, y):
+        # The terms stop where the mpf terms B_2k (2k+n-1)!/(2k)! y^-(2k+n)
+        # first grow or fall below 10^-(dps+2) of the lead.
+        y = mpf(y)
+        _, _, count = _polygamma_asymptotic(n, y)
+        scale = stop_scale()
+        with mp.workdps(60):
+            lead = 1 / (2 * y) - mp.log(y) if n == 0 else (
+                mp.factorial(n - 1) / y**n + mp.factorial(n) / (2 * y ** (n + 1))
+            )
+            small = scale * abs(lead)
+            prev, expected = mp.inf, len(BERNOULLI) // 2
+            for k in range(1, len(BERNOULLI) // 2 + 1):
+                weight = mpf(1) / (2 * k) if n == 0 else math.perm(2 * k + n - 1, n - 1)
+                term = abs(mp.bernoulli(2 * k) * weight / y ** (2 * k + n))
+                if term > prev or term < small:
+                    expected = k - 1
+                    break
+                prev = term
+        assert count == expected
+
+    @pytest.mark.parametrize(
+        "x", [1e-300, 1e300, mpf("1e100000")], ids=["1e-300", "1e300", "mpf-1e100000"]
+    )
+    def test_extreme_arguments_return_promptly(self, x):
+        # The kernel's integers stay near twice the working precision, and
+        # no recurrence shift grows with x.
+        calls = [lambda: log_gamma(x), lambda: log_barnes_g(x).value]
+        calls += [lambda n=n: polygamma(n, x).value for n in (0, 40, 170)]
+        for call in calls:
+            start = time.perf_counter()
+            value = call()
+            assert time.perf_counter() - start < 0.05
+            assert mp.isfinite(value)
 
 
 class TestAboveWorkingPrecision:
