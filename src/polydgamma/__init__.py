@@ -13,7 +13,6 @@ from .polydg import (
     psi2_from_polygamma,
     psi2_integral,
     psi2_series,
-    psi2_zeta_form,
 )
 from .specfun import EvalResult, hurwitz_zeta, log_gamma, polygamma
 from .verify import (
@@ -63,7 +62,6 @@ __all__ = [
     "psi2_from_polygamma",
     "psi2_integral",
     "psi2_series",
-    "psi2_zeta_form",
 ]
 
 __version__ = "0.1.0"

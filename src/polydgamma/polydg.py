@@ -10,15 +10,17 @@ polygamma combination, Laplace-transform quadrature, and a Bernoulli
 asymptotic expansion with an exact integral remainder - which cross-check
 one another.  The series and the quadrature are independent of
 :func:`polygamma`; the polygamma combination and the expansion's closed form
-(psi^(n)(x+1) and psi^(n-1)(x+1)) are not.  The series is canonical: ``auto``
-and the cache use it, and the other routes are explicit choices that the
-identity audit also checks.  The routes that combine other results compute
+(psi^(n)(x+1) and psi^(n-1)(x+1)) are not.  :func:`polygamma` sums
+psi^(n), n >= 1, as n! zeta(n+1, x) on the series' own kernel, so the
+polygamma route checks the combination formula, not the summation.  The
+series is canonical: ``auto`` and the cache use it, and the other routes are
+explicit choices that the identity audit also checks.  The routes that combine other results compute
 their formulas in :class:`Approx`, so their claimed errors count the
 rounding of the combination.
 The series of psi2^(n) is summed by the one Euler-Maclaurin engine in
 :mod:`specfun`, :func:`power_sum`; log G comes from Barnes' asymptotic
 expansion, whose Bernoulli series :func:`asymptotic_sum` sums, as it does
-those of log Gamma and psi^(n).  Both kernels run in Python integers a
+those of log Gamma and digamma.  Both kernels run in Python integers a
 little wider than the working precision, with exact coefficients, and count
 their own floors.
 Differentiation in x is closed: d/dx psi2^(n) = psi2^(n+1), so
@@ -46,7 +48,6 @@ from .specfun import (
     EvalResult,
     EM_WEIGHTS,
     asymptotic_sum,
-    hurwitz_zeta,
     log_gamma,
     polygamma,
     power_sum,
@@ -123,15 +124,6 @@ def psi2_from_polygamma(arg: PolyDoubleArg) -> EvalResult:
     lo = Approx.of(polygamma(n - 1, x))
     hi = Approx.of(polygamma(n, x))
     return _floored(-n * lo + Approx.rounded(1 - x) * hi, "polygamma")
-
-
-def psi2_zeta_form(arg: PolyDoubleArg) -> EvalResult:
-    """Equivalent closed form (-1)^(n+1) n! (zeta(n,x) + (1-x) zeta(n+1,x))."""
-    n, x = arg.n, arg.x
-    za = Approx.of(hurwitz_zeta(n, x))
-    zb = Approx.of(hurwitz_zeta(n + 1, x))
-    value = (-1) ** (n + 1) * _factorial(n) * (za + Approx.rounded(1 - x) * zb)
-    return _floored(value, "zeta-form")
 
 
 def psi2_integral(arg: PolyDoubleArg) -> EvalResult:

@@ -5,9 +5,10 @@ digamma/polygamma and the Hurwitz zeta function, each evaluated with a
 controlled absolute error.
 Series run in Python integers a little wider than the working precision,
 with exact rational coefficients, and count their own floors: the one
-Euler-Maclaurin engine, :func:`power_sum`, sums the Hurwitz zeta and
-psi2^(n) series, and :func:`asymptotic_sum` the Bernoulli asymptotic
-series of log Gamma, log G and psi^(n).  Their leading terms, the
+Euler-Maclaurin engine, :func:`power_sum`, sums the Hurwitz zeta, psi^(n)
+(n >= 1, as (-1)^(n+1) n! zeta(n+1, x)) and psi2^(n) series, and
+:func:`asymptotic_sum` the Bernoulli asymptotic series of log Gamma, log G
+and digamma from fixed coefficient tables.  Their leading terms, the
 recurrence shifts and the constants run through mpmath at a fixed working
 precision.  Every non-trivial evaluation returns an :class:`EvalResult`
 carrying an explicit error estimate, so downstream code never has to guess
@@ -16,7 +17,6 @@ how many digits are trustworthy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -410,11 +410,12 @@ def asymptotic_sum(lead, coeffs, y, e: int, small=0):
     """lead + sum_{k>=1} c_k y^-(e+2k-2), a Bernoulli asymptotic series, in
     fixed point.
 
-    ``coeffs`` yields each c_k as an exact (numerator, denominator) pair with
-    a positive denominator; ``lead`` and ``y`` > 0 are mpf numbers and e >= 1
-    an integer.  Terms are read in order, and the sum stops before the first
-    one that grows in magnitude (the series diverges from there) or falls
-    below ``small`` (it no longer counts), or at the end of ``coeffs``.
+    ``coeffs`` is a fixed tuple of the c_k, such as ``STIRLING_COEFFS``,
+    each an exact (numerator, denominator) pair with a positive denominator;
+    ``lead`` and ``y`` > 0 are mpf numbers and e >= 1 an integer.  Terms are
+    read in order, and the sum stops before the first one that grows in
+    magnitude (the series diverges from there) or falls below ``small`` (it
+    no longer counts), or at the end of ``coeffs``.
 
     y^-e is y floored to w = mp.prec + 20 + bitlength(e+96) + 6 bits, raised
     to the e-th power by binary powering truncated to w bits (short by under
@@ -423,7 +424,7 @@ def asymptotic_sum(lead, coeffs, y, e: int, small=0):
     w bits, so the k-th is within (e + 2k + 32) 2^(6-w) of y^-(e+2k-2).  A
     term is one floored product of its power and c_k on the grid 2^-F, F
     chosen so that the first term spans w bits: no integer grows past about
-    2w bits, whatever y and e, unless a coefficient does.
+    2w bits plus the table's, whatever y and e.
 
     Returns (value, error, count).  value is lead plus the sum S, S rounded
     to mp.prec and then added: two roundings, which the callers count.  The
@@ -438,8 +439,7 @@ def asymptotic_sum(lead, coeffs, y, e: int, small=0):
     big_m, big_e = _floor_pow(m, ex, e, w)
     power = ((1 << 2 * w) // big_m, -2 * w - big_e)  # y^-e
     inv_y2 = ((1 << 3 * w) // (m * m), -3 * w - 2 * ex)
-    coeffs = iter(coeffs)
-    first = next(coeffs)
+    first = coeffs[0]
     f = w - (power[0].bit_length() + power[1]
              + abs(first[0]).bit_length() - first[1].bit_length())
     threshold = 0
@@ -450,7 +450,7 @@ def asymptotic_sum(lead, coeffs, y, e: int, small=0):
 
     total = magnitude = 0
     prev = math.inf
-    for count, (num, den) in enumerate(itertools.chain([first], coeffs)):
+    for count, (num, den) in enumerate(coeffs):
         term = _fixed(power, f, num, den)
         magnitude += abs(term)
         if abs(term) > prev or abs(term) < threshold:
@@ -466,40 +466,20 @@ def asymptotic_sum(lead, coeffs, y, e: int, small=0):
     return lead + mpf((total, -f)), mp.ldexp(mpf(omitted + rounding), -f), count
 
 
-def _polygamma_asymptotic(n: int, y):
-    """Large-argument expansion of psi^(n)(y); (value, first omitted term,
-    terms added).
-
-    psi^(n)(y) ~ (-1)^(n-1) [lead + sum_k B_2k (2k+n-1)!/(2k)! y^-(2k+n)],
-    the lead being (n-1)!/y^n + n!/(2 y^(n+1)), or 1/(2y) - log y at n = 0,
-    where (2k-1)!/(2k)! = 1/(2k).  :func:`asymptotic_sum` sums it; terms
-    below 10^-(dps+2) of the lead no longer count, and the first omitted
-    term still bounds the remainder.
-    """
-    if n == 0:
-        lead = 1 / (2 * y) - mp.log(y)
-        coeffs = DIGAMMA_COEFFS
-    else:
-        lead = mp.factorial(n - 1) / y**n + mp.factorial(n) / (2 * y ** (n + 1))
-        # Built as the sum reads them: a large n grows them at once.
-        coeffs = (
-            (num * math.perm(2 * k + n - 1, n - 1), den)
-            for k, (num, den) in enumerate(_B2K, 1)
-        )
-    total, err, count = asymptotic_sum(lead, coeffs, y, n + 2, stop_scale() * abs(lead))
-    return (total if n % 2 else -total), err, count
-
-
 def polygamma(n: int, x) -> EvalResult:
     """psi^(n)(x) for n >= 0, x > 0.
 
-    Recurrence-shift the argument above ``SHIFT_THRESHOLD``, apply the
-    Bernoulli asymptotic series truncated at its smallest term
-    (:func:`_polygamma_asymptotic`, in fixed point), shift back.  The error
-    is the first omitted term and the kernel's counted floors and truncated
-    powers, plus the rounding of the sum, (|shift head| + |expansion|)
-    (shift + terms summed + 2) unit: the head and the expansion can cancel
-    (psi near its zero), so their magnitudes count, not that of the value.
+    For n >= 1, psi^(n)(x) = (-1)^(n+1) n! zeta(n+1, x) is :func:`power_sum`
+    at (x, n+1) under its default relative stop, and its error is counted
+    as psi2_series counts it: n! times the kernel's, plus |value| * H *
+    rounding_unit(), H being its head terms.
+
+    Digamma recurrence-shifts x above ``SHIFT_THRESHOLD`` and sums
+    psi(y) ~ log y - 1/(2y) - sum_k B_2k/(2k y^2k) with
+    :func:`asymptotic_sum`, stopping at its smallest term or below
+    10^-(dps+2) of the lead.  The error is the kernel's plus the rounding of
+    the sum, (|shift head| + |expansion|) (shift + terms summed + 2) unit:
+    the two can cancel (psi near its zero), so their magnitudes count.
     """
     if n < 0:
         raise DomainError("polygamma order must be non-negative")
@@ -507,20 +487,27 @@ def polygamma(n: int, x) -> EvalResult:
     if x <= 0:
         raise DomainError("polygamma requires x > 0")
 
+    if n:
+        fact = mp.factorial(n)
+        s, err, head_terms = power_sum(x, n + 1)
+        value = (-1) ** (n + 1) * fact * s
+        rounding = abs(value) * head_terms * rounding_unit()
+        return EvalResult(
+            value=value, error=float(fact * err + rounding), method="euler-maclaurin"
+        )
+
     shift = recurrence_shift(x)
     y = x + shift
     head = mpf(0)
-    if n == 0:
-        for i in range(shift):
-            head -= 1 / (x + i)
-    else:
-        coeff = (-1) ** n * mp.factorial(n)
-        for i in range(shift):
-            head -= coeff * (x + i) ** (-(n + 1))
-    asym, err, count = _polygamma_asymptotic(n, y)
-    rounding = (abs(head) + abs(asym)) * (shift + count + 2) * rounding_unit()
+    for i in range(shift):
+        head -= 1 / (x + i)
+    lead = 1 / (2 * y) - mp.log(y)
+    total, err, count = asymptotic_sum(
+        lead, DIGAMMA_COEFFS, y, 2, stop_scale() * abs(lead)
+    )
+    rounding = (abs(head) + abs(total)) * (shift + count + 2) * rounding_unit()
     return EvalResult(
-        value=head + asym, error=float(err + rounding), method="shift-asymptotic"
+        value=head - total, error=float(err + rounding), method="shift-asymptotic"
     )
 
 

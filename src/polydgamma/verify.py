@@ -54,7 +54,6 @@ from .polydg import (
     psi2_grid,
     psi2_integral,
     psi2_series,
-    psi2_zeta_form,
 )
 from .quadrature import integrate_de, integrate_panels
 from .specfun import DOUBLE_UNIT, Approx, EvalResult, hurwitz_zeta, polygamma
@@ -851,6 +850,11 @@ def audit_identities() -> list:
     def against_series(route):
         return [(series(n, x), Approx.of(route(PolyDoubleArg(n, x)))) for n, x in probes]
 
+    def zeta_closed_form(n, x):
+        za, zb = (Approx.of(hurwitz_zeta(k, x)) for k in (n, n + 1))
+        fact = Approx.rounded(mp.factorial(n))
+        return (-1) ** (n + 1) * fact * (za + Approx.rounded(1 - x) * zb)
+
     # Printed sigma and tau against the derived expansion at x + 1.
     n, x, N = 3, mpf(2), 4
     ref = series(n, x + 1)
@@ -892,7 +896,7 @@ def audit_identities() -> list:
          "polygamma combination matches the series",
          "polygamma combination disagrees with the series"),
         ("zeta-closed-form", "(-1)^(n+1) n! (zeta(n,x) + (1-x) zeta(n+1,x))",
-         against_series(psi2_zeta_form),
+         [(series(n, x), zeta_closed_form(n, x)) for n, x in probes],
          "Hurwitz-zeta closed form matches the series",
          "Hurwitz-zeta closed form disagrees with the series"),
         ("recurrence", "psi2^(n)(x+1) + psi^(n)(x) = psi2^(n)(x)",

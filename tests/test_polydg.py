@@ -26,7 +26,6 @@ from polydgamma import (
     psi2_from_polygamma,
     psi2_integral,
     psi2_series,
-    psi2_zeta_form,
 )
 from polydgamma import polydg
 from polydgamma.polydg import (
@@ -105,13 +104,6 @@ class TestRoutesAgainstOracles:
     def test_polygamma_route(self, key, ref):
         n, x = key
         r = psi2_from_polygamma(PolyDoubleArg(n, mpf(x)))
-        scale = max(1.0, abs(float(mpf(ref))))
-        assert abs(r.value - mpf(ref)) < 1e-18 * scale
-
-    @pytest.mark.parametrize("key,ref", sorted(PSI2_ORACLE.items()))
-    def test_zeta_route(self, key, ref):
-        n, x = key
-        r = psi2_zeta_form(PolyDoubleArg(n, mpf(x)))
         scale = max(1.0, abs(float(mpf(ref))))
         assert abs(r.value - mpf(ref)) < 1e-18 * scale
 
@@ -202,10 +194,9 @@ class TestRoutesAgainstOracles:
 
 
 def test_combining_routes_cover_own_rounding(monkeypatch):
-    """polygamma and hurwitz_zeta return their values rounded to doubles,
-    claiming no error, so the same call at 60 digits differs from the one at
-    30 only by the rounding of the route's own combination, which its claim
-    must cover."""
+    """polygamma returns its values rounded to doubles, claiming no error,
+    so the same call at 60 digits differs from the one at 30 only by the
+    rounding of the route's own combination, which its claim must cover."""
 
     def exact(f):
         def rounded(*args):
@@ -216,10 +207,8 @@ def test_combining_routes_cover_own_rounding(monkeypatch):
         return rounded
 
     monkeypatch.setattr(polydg, "polygamma", exact(polygamma))
-    monkeypatch.setattr(polydg, "hurwitz_zeta", exact(polydg.hurwitz_zeta))
     routes = {
         "polygamma": psi2_from_polygamma,
-        "zeta-form": psi2_zeta_form,
         "asymptotic": lambda arg: psi2_eval(arg, "asymptotic"),
         "didouble": lambda arg: psi2_didouble(arg.x),
     }
