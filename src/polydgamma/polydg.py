@@ -36,6 +36,17 @@ from functools import lru_cache
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    dps_to_prec,
+    fone,
+    mpf_add,
+    mpf_div,
+    mpf_exp,
+    mpf_mul,
+    mpf_neg,
+    mpf_pow_int,
+    mpf_sub,
+)
 
 from .errors import DomainError
 from .quadrature import integrate_de, integrate_panels
@@ -53,13 +64,16 @@ from .specfun import (
     power_sum,
     recurrence_shift,
     rounding_unit,
+    shift_products,
     stop_scale,
 )
 
 METHODS = ("auto", "series", "polygamma", "integral", "asymptotic")
 
-# Digits of the integral route.  Its values are good to about 1e-20
-# relative; at 30 digits mp.quad takes about twice as long.
+# Digits of the integral route, and the scale of its bracket's tails
+# (10^-(INTEGRAL_DPS+2) of the integral).  Its values are good to about
+# 1e-21 relative and claim about 5e-18; at 30 digits the route takes 1.5 to
+# 2 times as long.
 INTEGRAL_DPS = 20
 
 # Bernoulli blocks of the asymptotic route; the first omitted one is its error.
@@ -81,12 +95,25 @@ class PolyDoubleArg:
             raise DomainError("argument must be positive")
 
 
+def _density(n: int, t, wp: int):
+    """t^n / (1 - exp(-t))^2 at wp bits, on the raw mpf tuple t > 0.
+
+    Raw mpmath.libmp operations, a few units of 2^-wp off, with no mpf
+    objects or precision contexts; the exponential is most of the cost.
+    """
+    mag = t[2] + t[3]
+    if mag > wp.bit_length():
+        # t > wp: exp(-t) < 2^-(wp+2), so 1 - exp(-t) rounds to 1.
+        em = fone
+    else:
+        # 1 - exp(-t) with the bits its cancellation costs.
+        em = mpf_sub(fone, mpf_exp(mpf_neg(t), wp + max(0, -mag) + 8), wp)
+    return mpf_div(mpf_pow_int(t, n, wp), mpf_mul(em, em, wp), wp)
+
+
 def _kernel_density(n: int, t):
     """Laplace density t^n / (1 - exp(-t))^2 of (-1)^(n+1) psi2^(n), t > 0."""
-    # 1 - exp(-t) with the bits its cancellation costs: half mp.expm1's time.
-    with mp.extraprec(max(0, -mp.mag(t)) + 8):
-        em = 1 - mp.exp(-t)
-    return t ** n / (em * em)
+    return mp.make_mpf(_density(n, mpf(t)._mpf_, mp.prec))
 
 
 def psi2_series(arg: PolyDoubleArg) -> EvalResult:
@@ -126,26 +153,133 @@ def psi2_from_polygamma(arg: PolyDoubleArg) -> EvalResult:
     return _floored(-n * lo + Approx.rounded(1 - x) * hi, "polygamma")
 
 
+# The integral route's cuts lie on this grid in s, so its bracket's lower
+# end and half-width are exact doubles.
+_CUT_GRID = 8
+
+
+def _log_sum(logs) -> float:
+    """log of the sum of exp(v) over v: -inf if every v is."""
+    top = max(logs)
+    if top == -math.inf:
+        return top
+    return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
+def _grid_cut(ok, k_in: int, k_out: int) -> int:
+    """The grid index from k_in to k_out nearest k_out at which ``ok`` holds.
+
+    ``ok`` holds at k_in and changes at most once on the way; bisection.
+    """
+    if ok(k_out):
+        return k_out
+    while abs(k_out - k_in) > 1:
+        k = (k_in + k_out) // 2
+        if ok(k):
+            k_in = k
+        else:
+            k_out = k
+    return k_in
+
+
+def _laplace_bracket(n: int, x):
+    """Cuts s_lo < n < s_hi of J = int_0^inf e^(-s) f(s/x) ds and its tails.
+
+    f is the density of order n.  From 1 + t/2 <= t/(1 - e^(-t)) <= 1 + t,
+    f(t) lies between t^(n-2) (1 + t/2)^2 and t^(n-2) (1 + t)^2, so
+
+        J >= L = (n-2)!/x^(n-2) + (n-1)!/x^(n-1) + n!/(4 x^n)
+
+    and each tail is at most sum c_m x^-m int e^(-s) s^m ds over
+    (m, c_m) = (n-2, 1), (n-1, 2), (n, 1): incomplete gamma functions,
+    bounded in closed form (the second by DLMF 8.7.1) as
+
+        Gamma(m+1, S) <= S^(m+1) e^(-S) / (S - m),                   S > m,
+        gamma(m+1, S) <= S^(m+1)/(m+1) min(1, e^(-S) (m+2)/(m+2-S)), S < m+2.
+
+    All of it is summed in logs, so no n or x overflows.  Each cut is the
+    one nearest the peak, on the grid of 1/_CUT_GRID in [0, n-1] and
+    [n+1, inf), whose tail bound stays below 10^-(INTEGRAL_DPS+2) L / 2.
+    Returns (s_lo, s_hi, tails): the cuts as floats and twice the sum of
+    the two tail bounds, as an mpf (the factor covers the rounding of the
+    logs).
+    """
+    log_x = float(mp.log(x))
+
+    def terms(coeffs):
+        return [(m, math.log(c) - m * log_x) for m, c in zip((n - 2, n - 1, n), coeffs)]
+
+    majorant = terms((1, 2, 1))
+    log_floor = _log_sum([lc + math.lgamma(m + 1) for m, lc in terms((1, 1, 0.25))])
+    target = log_floor - (INTEGRAL_DPS + 2) * math.log(10) - math.log(2)
+
+    def below(k):
+        s = k / _CUT_GRID
+        if s == 0:
+            return -math.inf
+        return _log_sum([
+            lc + (m + 1) * math.log(s) - math.log(m + 1)
+            + min(0.0, math.log(m + 2) - s - math.log(m + 2 - s))
+            for m, lc in majorant
+        ])
+
+    def above(k):
+        s = k / _CUT_GRID
+        return _log_sum([
+            lc + (m + 1) * math.log(s) - s - math.log(s - m) for m, lc in majorant
+        ])
+
+    k_lo = _grid_cut(lambda k: below(k) <= target, 0, _CUT_GRID * (n - 1))
+    # Above the peak, steps double from n + 1 until the tail is small enough.
+    k_out, step = _CUT_GRID * (n + 1), _CUT_GRID * math.ceil(8 + math.sqrt(n))
+    k_hi = k_out + step
+    while above(k_hi) > target:
+        k_out, k_hi, step = k_hi, k_hi + step, 2 * step
+    k_hi = _grid_cut(lambda k: above(k) <= target, k_hi, k_out)
+    tails = mp.exp(_log_sum([below(k_lo), above(k_hi)]) + math.log(2))
+    return k_lo / _CUT_GRID, k_hi / _CUT_GRID, tails
+
+
 def psi2_integral(arg: PolyDoubleArg) -> EvalResult:
     """Quadrature of the Laplace representation with the positive kernel.
 
     With s = x t the representation reads
 
-        (-1)^(n+1) psi2^(n)(x) = (1/x) int_0^inf e^(-s) t^n / (1 - e^(-t))^2 ds,
+        (-1)^(n+1) psi2^(n)(x) = J / x,  J = int_0^inf e^(-s) t^n / (1 - e^(-t))^2 ds,
 
-    whose integrand peaks near s = n (t = n/x) on a scale of 1 at every x.
-    :func:`integrate_de` runs it at INTEGRAL_DPS digits in one piece, scaled
-    by its value there; breaking it at s = n or at t = 1 only adds nodes.
-    The error is integrate_de's.
+    whose integrand peaks in [n-2, n] on a scale of about sqrt(n) at every
+    x.  Outside the bracket [s_lo, s_hi] of :func:`_laplace_bracket` lies
+    less than 10^-(INTEGRAL_DPS+2) of J.  The bracket is mapped linearly
+    onto [-1, 1], s = s_lo + h (1 + u) with h = (s_hi - s_lo)/2 and 1 + u
+    exact, so that mp.quad reuses its tanh-sinh nodes at every call, and
+    :func:`integrate_de` runs it there at INTEGRAL_DPS digits in one piece,
+    scaled by its value at s = n.  Tanh-sinh suits a finite interval
+    (Takahasi & Mori, Publ. RIMS 9 (1974)); mp.quad's algebraic map of
+    [0, inf) puts most of its nodes where the integrand is negligible.
+    The integrand is evaluated on raw mpf tuples (:func:`_density`) with
+    bitlength(s_hi) + 8 guard bits, so that the rounding of s and t, which
+    e^(-s) and t^n magnify at most s_hi times, stays below one unit of
+    INTEGRAL_DPS digits.  The error is integrate_de's plus the bracket's
+    tail bounds, rounded up to a double.
     """
     n, x = arg.n, arg.x
+    lo, hi, tails = _laplace_bracket(n, x)
+    half = (hi - lo) / 2
+    lo_, half_, x_ = mpf(lo)._mpf_, mpf(half)._mpf_, x._mpf_
+    wp = dps_to_prec(INTEGRAL_DPS) + math.ceil(hi).bit_length() + 8
 
-    def integrand(s):
-        return mp.exp(-s) * _kernel_density(n, s / x)
+    def integrand(u):
+        s = mpf_add(lo_, mpf_mul(half_, mpf_add(u._mpf_, fone, 0), wp), wp)
+        e_s = mpf_exp(mpf_neg(s), wp)
+        return mp.make_mpf(mpf_mul(e_s, _density(n, mpf_div(s, x_, wp), wp), wp))
 
-    value, error = integrate_de(integrand, [0, mp.inf], n, INTEGRAL_DPS)
+    value, error = integrate_de(integrand, [-1, 1], (n - lo) / half - 1, INTEGRAL_DPS)
+    value, error = half * value, (half * error + tails) / x
+    # Rounded up to a double, so that a claim near the underflow stays one.
     return EvalResult(
-        value=mpf(-1) ** (n + 1) * value / x, error=float(error / x), method="integral"
+        value=mpf(-1) ** (n + 1) * value / x,
+        error=math.nextafter(float(error), math.inf),
+        method="integral",
     )
 
 
@@ -478,13 +612,15 @@ def log_barnes_g(x) -> EvalResult:
     summed in fixed point by :func:`asymptotic_sum`.  A smaller x is shifted
     up by m = ceil(SHIFT_THRESHOLD + 1 - x) through the closed form
 
-        log G(x) = log G(x+m) - m log Gamma(x+m) + sum_{j<m} (j+1) log(x+j),
+        log G(x) = log G(x+m) - m log Gamma(x+m) + log R,
+        R = prod_{j<m} (x+j)^(j+1),
 
-    one log-gamma and m logs (m <= 13), so the cost does not grow with x.
-    The error is the first omitted term of the expansion and the kernel's
-    counted floors and truncated powers, plus the rounding of the sum: the
-    rounding unit times the number of leading summands times the sum of
-    their magnitudes.
+    one log-gamma and one log of R (:func:`shift_products`; m <= 13), so the
+    cost does not grow with x.  The error is the first omitted term of the
+    expansion and the kernel's counted floors and truncated powers, plus the
+    rounding of the sum: the rounding unit times the number of leading
+    summands times the sum of their magnitudes, and m^2 + m units for the
+    roundings of R.
     """
     x = mpf(x)
     if x <= 0:
@@ -501,7 +637,7 @@ def log_barnes_g(x) -> EvalResult:
     ]
     if m:
         parts.append(-m * log_gamma(x + m))
-        parts.extend((j + 1) * mp.log(x + j) for j in range(m))
+        parts.append(mp.log(shift_products(x, m)[1]))
     magnitude = sum(abs(p) for p in parts)
     # Terms stop counting below 10^-(dps+2) of the parts' magnitudes, but
     # the claimed rounding uses rounding_unit(), which never passes the
@@ -509,5 +645,5 @@ def log_barnes_g(x) -> EvalResult:
     total, omitted, _ = asymptotic_sum(
         sum(parts), BARNES_COEFFS, z, 2, stop_scale() * magnitude
     )
-    err = omitted + len(parts) * magnitude * rounding_unit()
+    err = omitted + (len(parts) * magnitude + m * m + m) * rounding_unit()
     return EvalResult(value=total, error=float(err), method="barnes-asymptotic")

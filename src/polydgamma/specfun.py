@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_sub, round_floor
+from mpmath.libmp import fone, from_int, mpf_add, mpf_mul, mpf_sub, round_floor
 
 from .errors import DomainError
 
@@ -60,6 +60,25 @@ def rounding_unit() -> mpf:
     rounding of the unit itself.
     """
     return _rounding_unit(mp.prec)
+
+
+def shift_products(x, m: int):
+    """prod_{i<m} (x+i) and prod_{i<m} (x+i)^(i+1) at working precision.
+
+    The two products whose logs the recurrence shifts of log Gamma and
+    log G add, so that each costs one log, not m.  On raw mpf tuples, from
+    the top: q_j = (x+j) q_{j+1} and r_j = q_j r_{j+1}, q_m = r_m = 1.
+    Each operation rounds once, by less than 2^(1-prec) <= rounding_unit()
+    relative: q_0 carries 2m - 1 roundings and r_0 m^2 + m - 1 (that of
+    x + j enters r_0 j + 1 times, as does that of q_j), so the log of each
+    is off by at most that many rounding units.
+    """
+    wp, x = mp.prec, x._mpf_
+    q = r = fone
+    for j in reversed(range(m)):
+        q = mpf_mul(q, mpf_add(x, from_int(j), wp), wp)
+        r = mpf_mul(r, q, wp)
+    return mp.make_mpf(q), mp.make_mpf(r)
 
 
 @lru_cache(maxsize=None)
@@ -514,26 +533,28 @@ def polygamma(n: int, x) -> EvalResult:
 def log_gamma(x) -> mpf:
     """log Gamma(x) for x > 0 via shifted Stirling series, as a bare mpf.
 
-    With m = recurrence_shift(x) and y = x + m >= SHIFT_THRESHOLD,
+    With m = recurrence_shift(x), y = x + m >= SHIFT_THRESHOLD and
+    P = prod_{i<m} (x+i) (:func:`shift_products`),
 
         log Gamma(x) = (y - 1/2) log y - y + log(2 pi)/2
-                       + sum_k B_2k / (2k(2k-1) y^(2k-1)) - sum_{i<m} log(x+i),
+                       + sum_k B_2k / (2k(2k-1) y^(2k-1)) - log P,
 
     the series summed by :func:`asymptotic_sum` over the whole Bernoulli
     table: at y >= 12 its terms still fall at k = 32, and the remainder is
     under 4e-34.  The absolute error is under (m + 6) rounding_unit() times
-    |log Gamma(x)| + sum_{i<m} |log(x+i)|: each log, operation and addition
-    rounds once, the kernel's floors stay far below one unit, and the
-    remainder below one unit of the lead, log Gamma(y) > 17.
+    |log Gamma(x)| + sum_{i<m} |log(x+i)|: P's 2m - 1 roundings move log P
+    by under 2m units, at most 0.12 m units of that sum, which exceeds
+    log Gamma(12) > 17; each log, operation and addition rounds once, the
+    kernel's floors stay far below one unit, and the remainder below one
+    unit of the lead, log Gamma(y) > 17.
     """
     x = mpf(x)
     if x <= 0:
         raise DomainError("log_gamma requires x > 0")
     shift = recurrence_shift(x)
     y = x + shift
-    head = mpf(0)
-    for i in range(shift):
-        head -= mp.log(x + i)
     lead = (y - mpf(1) / 2) * mp.log(y) - y + CONSTANTS.log_two_pi / 2
     total, _, _ = asymptotic_sum(lead, STIRLING_COEFFS, y, 1)
-    return head + total
+    if shift:
+        total -= mp.log(shift_products(x, shift)[0])
+    return total

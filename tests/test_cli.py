@@ -200,6 +200,8 @@ class TestExitCodes:
             ["eval", "--n", "2", "--x", "1e-300", "--format", "json"],
             ["eval", "--n", "2", "--x", "1e-300", "--method", "polygamma",
              "--format", "json"],
+            ["eval", "--n", "2", "--x", "1e-300", "--method", "integral"],
+            ["eval", "--n", "10000", "--x", "5", "--method", "integral"],
             ["limit", "--x-max", "1e-300", "--format", "json"],
             ["limit", "--n", "200"],
             ["check", "--id", "cm", "--grid-lo", "1e-300", "--grid-count", "3",

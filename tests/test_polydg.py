@@ -144,6 +144,54 @@ class TestRoutesAgainstOracles:
             assert abs(r.value - ref) <= r.error
             assert r.error <= 1e-15 * abs(ref)
 
+    @pytest.mark.parametrize("n", [100, 170])
+    @pytest.mark.parametrize("x", ["0.5", "1", "10"])
+    def test_integral_claim_at_large_order(self, n, x):
+        # On [0, inf) mp.quad claimed 3.1e-2 relative at (170, 1); on the
+        # bracket its estimate holds at about 1e-18.
+        r = psi2_integral(PolyDoubleArg(n, mpf(x)))
+        with mp.workdps(80):
+            ref = psi2_series(PolyDoubleArg(n, mpf(x))).value
+            assert abs(r.value - ref) <= r.error
+            if abs(ref) < mpf("1e320"):
+                assert r.error <= 1e-15 * abs(ref)
+            else:
+                # psi2^(170)(0.5) ~ 2e358: its claim overflows a double.
+                assert r.error == math.inf
+
+    @pytest.mark.parametrize(
+        "n,x,most", [(2, "1", 230), (3, "2", 230), (4, "0.5", 230), (40, "1e-3", 458)]
+    )
+    def test_integral_evaluation_count(self, n, x, most, monkeypatch):
+        # Density evaluations, the scale's included.  On [0, inf) these were
+        # 458, 230, 458 and 915; at (3, 2) tanh-sinh needs its fifth level
+        # on either interval.
+        calls = []
+        density = polydg._density
+
+        def counted(*args):
+            calls.append(args)
+            return density(*args)
+
+        monkeypatch.setattr(polydg, "_density", counted)
+        psi2_integral(PolyDoubleArg(n, mpf(x)))
+        assert 0 < len(calls) <= most
+
+    @pytest.mark.parametrize("n,x", [(1000, "5"), (10000, "5"), (2, "1e-300")])
+    def test_integral_extreme_arguments(self, n, x):
+        # The bracket's tail bounds are summed in logs, so no n or x
+        # overflows them; on [0, inf) the value at (10000, 5) was off by a
+        # factor of 1e370 and at (1000, 5) by 1.5e-3.
+        arg = PolyDoubleArg(n, mpf(x))
+        start = time.perf_counter()
+        r = psi2_integral(arg)
+        assert time.perf_counter() - start < 1.0
+        with mp.workdps(60):
+            ref = psi2_series(arg).value
+            assert abs(r.value - ref) <= 1e-18 * abs(ref)
+        # Every value lies past the double range, and so does its claim.
+        assert r.error == math.inf
+
     def test_auto_route_matches_series_far_out(self):
         for n, x in [(2, 50), (3, 200), (6, 25), (7, 12.5)]:
             a = psi2_eval(PolyDoubleArg(n, mpf(x)), method="auto")
@@ -262,6 +310,14 @@ class TestStructure:
             assert k3 > 0
             # t^4 kernel exceeds t^3 kernel iff t > 1
             assert (k4 > k3) == (t > 1)
+
+    @pytest.mark.parametrize("t", ["1e-30", "0.001", "1", "7.5", "200", "1e300"])
+    def test_kernel_density_matches_mpf(self, t):
+        # The raw-tuple density, against the formula at 60 digits.
+        t = mpf(t)
+        with mp.workdps(60):
+            ref = t**3 / mp.expm1(-t) ** 2
+        assert abs(_kernel_density(3, t) - ref) <= 8 * mp.eps * ref
 
     def test_asymptotic_identity(self):
         for n, x, N in [(2, 2, 3), (3, 10, 4), (5, 1, 6), (4, 0.7, 5)]:
