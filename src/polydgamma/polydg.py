@@ -52,12 +52,12 @@ from .errors import DomainError
 from .quadrature import integrate_de, integrate_panels
 from .specfun import (
     BARNES_COEFFS,
-    BERNOULLI,
     CONSTANTS,
     SHIFT_THRESHOLD,
     Approx,
     EvalResult,
     EM_WEIGHTS,
+    _BERNOULLI_FRACTIONS as _B,
     asymptotic_sum,
     log_gamma,
     polygamma,
@@ -138,11 +138,6 @@ def psi2_series(arg: PolyDoubleArg) -> EvalResult:
 def _floored(a: Approx, method: str) -> EvalResult:
     """``a`` as an EvalResult, its error plus the routes' absolute 1e-30 floor."""
     return EvalResult(value=a.value, error=float(a.error) + 1e-30, method=method)
-
-
-def _factorial(k: int) -> Approx:
-    """k! at working precision, rounded once."""
-    return Approx.rounded(mp.factorial(k))
 
 
 def psi2_from_polygamma(arg: PolyDoubleArg) -> EvalResult:
@@ -283,8 +278,9 @@ def psi2_integral(arg: PolyDoubleArg) -> EvalResult:
     )
 
 
-# Taylor coefficients B_k/k! of t/(e^t - 1), k = 0..64, as doubles.
-_TAYLOR = np.array([float(b / mp.factorial(k)) for k, b in enumerate(BERNOULLI)])
+# Taylor coefficients B_k/k! of t/(e^t - 1), k = 0..64, each the double
+# nearest the exact fraction; those at even k >= 2 are psi2_grid's weights.
+_TAYLOR = np.array([float(b / math.factorial(k)) for k, b in enumerate(_B)])
 # Below this t the Bernoulli remainder is summed as its Taylor tail (radius
 # 2 pi), whose terms fall like 2 (t/(2 pi))^k.
 _TAYLOR_SPLIT = 3.0
@@ -295,6 +291,8 @@ _LOG_8_DBL_MAX = math.log(sys.float_info.max) + math.log(8)
 def _remainder_integral(p: int, x, n_blocks: int, first: int = 0):
     """int_0^inf t^p e^(-xt) (t/(e^t - 1) - sum_{k=first}^{2N} B_k t^k/k!) dt.
 
+    Its subtracted terms transform one by one into those of
+    :func:`asymptotic_bernoulli_sum` at the same (p, x, N, first).
     Below t = 3 the difference is its Taylor tail, summed over k < first and
     2N < k <= 64; the terms past 64 add at most 1.3 (t/(2 pi))^(64-2N) times
     the k = 2N+2 one.  Above, it is evaluated as written.  The integrand is
@@ -309,7 +307,7 @@ def _remainder_integral(p: int, x, n_blocks: int, first: int = 0):
     one of them does not fit a finite double (x = 1e-200 at p = 0, N = 3),
     and before any evaluation for N outside 1..31 (the expansion reads B_2N+2).
     """
-    if not 1 <= n_blocks <= len(BERNOULLI) // 2 - 1:
+    if not 1 <= n_blocks <= len(_TAYLOR) // 2 - 1:
         raise DomainError("terms must fit the Bernoulli table capacity")
     x = float(x)
     k = np.arange(len(_TAYLOR))
@@ -402,71 +400,84 @@ def asymptotic_remainder(arg: PolyDoubleArg, terms: int) -> EvalResult:
     )
 
 
-def asymptotic_bernoulli_sum(arg: PolyDoubleArg, n_blocks: int):
-    """sigma_n(x): the Bernoulli block sum of the expansion.
+def asymptotic_bernoulli_sum(p: int, x, n_blocks: int, first: int = 0):
+    """sum_{k=first}^{2N} B_k (p+k)! / (k! x^(p+k+1)), N = n_blocks.
 
-    sigma_n(x) = (-1)^n sum_{k=1}^{N-1} B_{2k+2} (2k+n)! /
-                 ((2k+2)! x^(2k+n+1)).
-    Also returns the magnitude of the first omitted block (k = N-1 term of
-    the next truncation), the natural error estimate with the remainder off.
+    The Laplace transform, term by term, of what :func:`_remainder_integral`
+    subtracts at the same (p, x, N, first) (DLMF 24.2.1); at p = n - 2 and
+    first = 0, (-1)^n times the Bernoulli part of the expansion of
+    psi2^(n)(x+1).  As p! (lead + sum_{even k} B_k C(p+k, k) x^-(p+1+k)),
+    the lead the k = 1 term -(p+1)/(2 x^(p+2)) if first <= 1, the even terms
+    are one :func:`asymptotic_sum` call with binomials of about k log2(p)
+    bits, its last entry the k = 2N+2 term.  x > 0 is an mpf taken exactly.
+
+    Returns (total, omitted): total an :class:`Approx` claiming every
+    rounding and no truncation; omitted the k = 2N+2 term's magnitude.
     """
-    n, x = arg.n, arg.x
-
-    def block(k):
-        return BERNOULLI[2 * k + 2] * mp.factorial(2 * k + n) / (
-            mp.factorial(2 * k + 2) * x ** (2 * k + n + 1)
-        )
-
-    total = sum((block(k) for k in range(1, n_blocks)), mpf(0))
-    return mpf(-1) ** n * total, abs(block(n_blocks))
+    even = range(first + first % 2, 2 * n_blocks + 3, 2)
+    coeffs = [_B[k] * math.comb(p + k, k) for k in even]
+    s, counted, omitted, _ = asymptotic_sum(mpf(0), coeffs, x, p + 1 + even[0])
+    total = Approx.rounded(s, counted)
+    if first <= 1:
+        total += -(p + 1) * Approx(x, 0) ** -(p + 2) / 2
+    fact = Approx.rounded(mp.factorial(p))
+    return fact * total, fact.value * omitted
 
 
 def asymptotic_closed_form(arg: PolyDoubleArg) -> Approx:
-    """Closed-form part of the expansion of psi2^(n)(x+1) at x = arg.x.
-
-    The n-fold derivative of the first-derivative expansion:
-
-        -x psi^(n)(x+1) - (n+1) psi^(n-1)(x+1)
-        + (-1)^n (n-2)!/x^(n-1) + (-1)^(n-1) (n-1)!/(2 x^n)
-        + (-1)^n n!/(12 x^(n+1))
-
-    as an :class:`Approx`, whose error covers the polygamma values' claims
-    and the rounding of the sum.
+    """-x psi^(n)(x+1) - (n+1) psi^(n-1)(x+1), the closed-form part of the
+    expansion of psi2^(n)(x+1) at x = arg.x, as an :class:`Approx` covering
+    the polygamma values' claims and the rounding.  The rest is (-1)^n
+    :func:`asymptotic_bernoulli_sum` at (n-2, x, N) plus the remainder tau_n,
+    which cancels that sum's truncation term by term.
     """
     n, x = arg.n, arg.x
     hi = Approx.of(polygamma(n, x + 1))
     lo = Approx.of(polygamma(n - 1, x + 1))
-    exact_x = Approx(x, 0)
-    value = -x * hi - (n + 1) * lo
-    value += (-1) ** n * _factorial(n - 2) / exact_x ** (n - 1)
-    value += (-1) ** (n - 1) * _factorial(n - 1) / (2 * exact_x**n)
-    value += (-1) ** n * _factorial(n) / (12 * exact_x ** (n + 1))
-    return value
+    return -x * hi - (n + 1) * lo
 
 
 def psi2_asymptotic(arg: PolyDoubleArg, terms: int) -> EvalResult:
     """psi2^(n)(x+1) from the shifted-argument expansion at x = arg.x.
 
-    The closed-form part (:func:`asymptotic_closed_form`) plus sigma_n(x)
-    and the exact remainder tau_n(x) of N = ``terms`` Bernoulli blocks: an
-    identity, not merely an asymptotic expansion.  tau runs first, so an N
+    The closed-form part, the Bernoulli part through B_2N, N = ``terms``,
+    and the exact remainder tau_n(x) of the same N, which pairs with it
+    term by term: an identity, not merely an asymptotic expansion, so the
+    claim counts rounding and no truncation.  tau runs first, so an N
     outside 1..31 raises DomainError before any other evaluation.
     """
     tau = Approx.of(asymptotic_remainder(arg, terms))
-    sigma, _ = asymptotic_bernoulli_sum(arg, terms)
-    return _floored(asymptotic_closed_form(arg) + sigma + tau, "asymptotic")
+    bernoulli, _ = asymptotic_bernoulli_sum(arg.n - 2, arg.x, terms)
+    value = asymptotic_closed_form(arg) + (-1) ** arg.n * bernoulli + tau
+    return _floored(value, "asymptotic")
 
 
 def _via_asymptotic(arg: PolyDoubleArg) -> EvalResult:
-    # psi2^(n)(x) = expansion at x-1 less tau; recurrence-shift first if x is
-    # small.  The first omitted Bernoulli block stands for the dropped tau.
+    """psi2^(n)(x) = sum_{i<m} psi^(n)(x+i) + psi2^(n)(y), y = x + m >= 13.
+
+    psi2^(n)(y) is the expansion at y - 1 through B_2N, N = ASYMPTOTIC_TERMS,
+    claiming the k = 2N+2 term for the dropped tau; the head is m psi^(n)(y)
+    + (-1)^(n+1) n! sum_{j<m} (j+1) (x+j)^-(n+1).  If m > 0, y rounds, which
+    moves psi^(n)(y) and psi2^(n)(y) by under n + 1 units (|f'(t)| <= (n+1)/t
+    |f(t)| for both); if m = 0, y - 1 rounds only where the 1e-30 floor
+    exceeds the value.
+    """
     n, x = arg.n, arg.x
     shift = recurrence_shift(x, SHIFT_THRESHOLD + 1)
-    head = sum(Approx.of(polygamma(n, x + i)) for i in range(shift))
-    base = PolyDoubleArg(n, x + shift - 1)
-    sigma, omitted = asymptotic_bernoulli_sum(base, ASYMPTOTIC_TERMS)
-    expansion = asymptotic_closed_form(base) + Approx(sigma, omitted)
-    return _floored(head + expansion, "asymptotic")
+    y = x + shift
+    hi = Approx.of(polygamma(n, y))
+    closed = -(y - 1) * hi - (n + 1) * Approx.of(polygamma(n - 1, y))
+    bernoulli, omitted = asymptotic_bernoulli_sum(n - 2, y - 1, ASYMPTOTIC_TERMS)
+    expansion = closed + (-1) ** n * Approx(bernoulli.value, bernoulli.error + omitted)
+    # x + 0 is exact: at a small x the largest term rounds only in its power.
+    powers = sum((j + 1) * (Approx.rounded(x + j) if j else Approx(x, 0)) ** -(n + 1)
+                 for j in range(shift))
+    head = shift * hi + (-1) ** (n + 1) * Approx.rounded(mp.factorial(n)) * powers
+    total = head + expansion
+    if shift:
+        moved = (n + 1) * (shift * abs(hi.value) + abs(expansion.value))
+        total = Approx(total.value, total.error + moved * rounding_unit())
+    return _floored(total, "asymptotic")
 
 
 def psi2_eval(arg: PolyDoubleArg, method: str = "auto") -> EvalResult:
@@ -505,7 +516,6 @@ def psi2_cached(n: int, x) -> EvalResult:
 
 # Head terms summed directly before the Euler-Maclaurin tail of psi2_grid.
 GRID_HEAD_TERMS = 20
-_EM_FLOAT_WEIGHTS = tuple(w.numerator / w.denominator for w in EM_WEIGHTS)
 
 
 def psi2_grid(n: int, x) -> Approx:
@@ -554,7 +564,7 @@ def psi2_grid(n: int, x) -> Approx:
         total = s
         prev = trunc = np.full(x.shape, np.inf)
         active = np.ones(x.shape, dtype=bool)
-        for q, weight in zip(range(1, 2 * len(_EM_FLOAT_WEIGHTS), 2), _EM_FLOAT_WEIGHTS):
+        for q, weight in zip(range(1, 2 * len(EM_WEIGHTS), 2), _TAYLOR[2::2]):
             term = weight * (d1 + d2)
             total = np.where(active, total + term, total)
             trunc = np.where(active, np.maximum(abs(term), prev), trunc)
@@ -607,9 +617,8 @@ def log_barnes_g(x) -> EvalResult:
         log G(z+1) = z^2/2 log z - 3z^2/4 + (z/2) log(2 pi) - (1/12) log z
                      + zeta'(-1) + sum_{k>=1} B_{2k+2} / (4k(k+1) z^(2k)),
 
-    is truncated at its smallest term, or before the first term below
-    10^-(dps+2) times the magnitudes of the leading terms; its series is
-    summed in fixed point by :func:`asymptotic_sum`.  A smaller x is shifted
+    is truncated before the first term below 10^-(dps+2) times the
+    magnitudes of the leading terms; :func:`asymptotic_sum` sums its series.  A smaller x is shifted
     up by m = ceil(SHIFT_THRESHOLD + 1 - x) through the closed form
 
         log G(x) = log G(x+m) - m log Gamma(x+m) + log R,
@@ -642,8 +651,8 @@ def log_barnes_g(x) -> EvalResult:
     # Terms stop counting below 10^-(dps+2) of the parts' magnitudes, but
     # the claimed rounding uses rounding_unit(), which never passes the
     # constants' digits.
-    total, omitted, _ = asymptotic_sum(
+    total, counted, omitted, _ = asymptotic_sum(
         sum(parts), BARNES_COEFFS, z, 2, stop_scale() * magnitude
     )
-    err = omitted + (len(parts) * magnitude + m * m + m) * rounding_unit()
+    err = omitted + counted + (len(parts) * magnitude + m * m + m) * rounding_unit()
     return EvalResult(value=total, error=float(err), method="barnes-asymptotic")

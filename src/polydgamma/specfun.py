@@ -1,16 +1,16 @@
 """Classical special-function layer.
 
-Bernoulli numbers (exact rationals, rounded once to mpf), log-gamma,
-digamma/polygamma and the Hurwitz zeta function, each evaluated with a
-controlled absolute error.
+Bernoulli numbers (exact rationals), log-gamma, digamma/polygamma and the
+Hurwitz zeta function, each evaluated with a controlled absolute error.
 Series run in Python integers a little wider than the working precision,
 with exact rational coefficients, and count their own floors: the one
 Euler-Maclaurin engine, :func:`power_sum`, sums the Hurwitz zeta, psi^(n)
 (n >= 1, as (-1)^(n+1) n! zeta(n+1, x)) and psi2^(n) series, and
 :func:`asymptotic_sum` the Bernoulli asymptotic series of log Gamma, log G
-and digamma from fixed coefficient tables.  Their leading terms, the
-recurrence shifts and the constants run through mpmath at a fixed working
-precision.  Every non-trivial evaluation returns an :class:`EvalResult`
+and digamma from fixed coefficient tables, and the Bernoulli part of the
+psi2^(n) expansion from coefficients built per order.  Their leading terms,
+the recurrence shifts and the constants run through mpmath at a fixed
+working precision.  Every non-trivial evaluation returns an :class:`EvalResult`
 carrying an explicit error estimate, so downstream code never has to guess
 how many digits are trustworthy.
 """
@@ -53,11 +53,11 @@ def recurrence_shift(x, threshold=SHIFT_THRESHOLD) -> int:
 def rounding_unit() -> mpf:
     """Relative rounding of one operation, as claimed errors count it.
 
-    10^-mp.dps, but never below 10^-WORKING_DPS: the Bernoulli table and the
-    constants are built once at import, so raising mp.dps later does not
-    make them any more accurate.  Stop rules still use 10^-mp.dps: more
-    terms never hurt.  Cached per mp.prec, which fixes both mp.dps and the
-    rounding of the unit itself.
+    10^-mp.dps, but never below 10^-WORKING_DPS: the constants are built
+    once at import, so raising mp.dps later does not make them any more
+    accurate.  Stop rules still use 10^-mp.dps: more terms never hurt.
+    Cached per mp.prec, which fixes both mp.dps and the rounding of the unit
+    itself.
     """
     return _rounding_unit(mp.prec)
 
@@ -201,30 +201,20 @@ def _bernoulli_fractions(capacity: int) -> tuple:
     return tuple(values)
 
 
-_BERNOULLI_FRACTIONS = _bernoulli_fractions(64)
-
-# Bernoulli numbers B_0..B_64 as mpf at working precision, converted once.
-BERNOULLI = tuple(mpf(b.numerator) / mpf(b.denominator) for b in _BERNOULLI_FRACTIONS)
+# B_0..B_64, exact: every Bernoulli coefficient of the package is read here.
+_BERNOULLI_FRACTIONS = _B = _bernoulli_fractions(64)
 
 # Euler-Maclaurin correction weights B_2j / (2j)!, j = 1..14, exact: the
 # most corrections power_sum applies before reporting what it has.
-EM_WEIGHTS = tuple(
-    _BERNOULLI_FRACTIONS[2 * j] / math.factorial(2 * j) for j in range(1, 15)
-)
+EM_WEIGHTS = tuple(_B[2 * j] / math.factorial(2 * j) for j in range(1, 15))
 
-# B_2k, k = 1..32, as exact (numerator, denominator) pairs.
-_B2K = tuple((b.numerator, b.denominator) for b in _BERNOULLI_FRACTIONS[2::2])
-# Coefficients c_k of the Bernoulli asymptotic series, k = 1, 2, ..., as
-# exact (numerator, denominator) pairs for asymptotic_sum: Stirling's
-# B_2k/(2k(2k-1)) for log Gamma, B_2k/(2k) for digamma, and Barnes'
-# B_2k+2/(4k(k+1)) for log G, one shorter as it reads one number ahead.
-STIRLING_COEFFS = tuple(
-    (num, den * 2 * k * (2 * k - 1)) for k, (num, den) in enumerate(_B2K, 1)
-)
-DIGAMMA_COEFFS = tuple((num, den * 2 * k) for k, (num, den) in enumerate(_B2K, 1))
-BARNES_COEFFS = tuple(
-    (num, den * 4 * k * (k + 1)) for k, (num, den) in enumerate(_B2K[1:], 1)
-)
+# Coefficients c_k of the Bernoulli asymptotic series, k = 1, 2, ..., exact,
+# for asymptotic_sum: Stirling's B_2k/(2k(2k-1)) for log Gamma, B_2k/(2k)
+# for digamma, and Barnes' B_2k+2/(4k(k+1)) for log G, one shorter as it
+# reads one number ahead.
+STIRLING_COEFFS = tuple(_B[2 * k] / (2 * k * (2 * k - 1)) for k in range(1, 33))
+DIGAMMA_COEFFS = tuple(_B[2 * k] / (2 * k) for k in range(1, 33))
+BARNES_COEFFS = tuple(_B[2 * k + 2] / (4 * k * (k + 1)) for k in range(1, 32))
 
 
 @dataclass(frozen=True)
@@ -429,12 +419,11 @@ def asymptotic_sum(lead, coeffs, y, e: int, small=0):
     """lead + sum_{k>=1} c_k y^-(e+2k-2), a Bernoulli asymptotic series, in
     fixed point.
 
-    ``coeffs`` is a fixed tuple of the c_k, such as ``STIRLING_COEFFS``,
-    each an exact (numerator, denominator) pair with a positive denominator;
-    ``lead`` and ``y`` > 0 are mpf numbers and e >= 1 an integer.  Terms are
-    read in order, and the sum stops before the first one that grows in
-    magnitude (the series diverges from there) or falls below ``small`` (it
-    no longer counts), or at the end of ``coeffs``.
+    ``coeffs`` holds the c_k as exact Fractions: a fixed table such as
+    ``STIRLING_COEFFS``, or one built per call.  ``lead`` and ``y`` > 0 are
+    mpf numbers and e >= 1 an integer.  The one stop rule: the sum ends
+    before the first term below ``small``, or at the last entry of
+    ``coeffs``, which is read and never added.
 
     y^-e is y floored to w = mp.prec + 20 + bitlength(e+96) + 6 bits, raised
     to the e-th power by binary powering truncated to w bits (short by under
@@ -443,14 +432,13 @@ def asymptotic_sum(lead, coeffs, y, e: int, small=0):
     w bits, so the k-th is within (e + 2k + 32) 2^(6-w) of y^-(e+2k-2).  A
     term is one floored product of its power and c_k on the grid 2^-F, F
     chosen so that the first term spans w bits: no integer grows past about
-    2w bits plus the table's, whatever y and e.
+    2w bits plus the table's and, where the terms grow, the bits they gain.
 
-    Returns (value, error, count).  value is lead plus the sum S, S rounded
-    to mp.prec and then added: two roundings, which the callers count.  The
-    error is the first omitted term, or the last added one when ``coeffs``
-    runs out, plus what the kernel counts of its own rounding: one unit of
-    2^-F per term computed and (e + 2K + 32) 2^(6-w) of their magnitudes, K
-    being their number.  count is the number of terms added.
+    Returns (value, rounding, omitted, count): lead plus the sum S, S
+    rounded to mp.prec and then added (two roundings, which the callers
+    count); the kernel's own rounding, one unit of 2^-F per term computed
+    and (e + 2K + 32) 2^(6-w) of their magnitudes, K being their number;
+    the magnitude of the term that ended the sum; the terms added.
     """
     w = mp.prec + _GUARD_BITS + (e + 96).bit_length() + 6
     _, ym, ye, _ = y._mpf_
@@ -460,7 +448,7 @@ def asymptotic_sum(lead, coeffs, y, e: int, small=0):
     inv_y2 = ((1 << 3 * w) // (m * m), -3 * w - 2 * ex)
     first = coeffs[0]
     f = w - (power[0].bit_length() + power[1]
-             + abs(first[0]).bit_length() - first[1].bit_length())
+             + abs(first.numerator).bit_length() - first.denominator.bit_length())
     threshold = 0
     if small:
         sm, se = small.man_exp
@@ -468,21 +456,17 @@ def asymptotic_sum(lead, coeffs, y, e: int, small=0):
         threshold = _fixed((sm, se), f) if sm.bit_length() + se + f < 2 * w else 1 << 2 * w
 
     total = magnitude = 0
-    prev = math.inf
-    for count, (num, den) in enumerate(coeffs):
-        term = _fixed(power, f, num, den)
+    for count, c in enumerate(coeffs):
+        term = _fixed(power, f, c.numerator, c.denominator)
         magnitude += abs(term)
-        if abs(term) > prev or abs(term) < threshold:
-            omitted, floors = abs(term), count + 1
+        if abs(term) < threshold or count == len(coeffs) - 1:
             break
         total += term
-        prev = abs(term)
         power = _mul(power, inv_y2, w)
-    else:
-        count += 1
-        omitted, floors = prev, count
+    floors = count + 1
     rounding = floors + ((e + 2 * floors + 32) * (magnitude + floors) >> (w - 7)) + 1
-    return lead + mpf((total, -f)), mp.ldexp(mpf(omitted + rounding), -f), count
+    return (lead + mpf((total, -f)), mp.ldexp(mpf(rounding), -f),
+            mp.ldexp(mpf(abs(term)), -f), count)
 
 
 def polygamma(n: int, x) -> EvalResult:
@@ -495,10 +479,10 @@ def polygamma(n: int, x) -> EvalResult:
 
     Digamma recurrence-shifts x above ``SHIFT_THRESHOLD`` and sums
     psi(y) ~ log y - 1/(2y) - sum_k B_2k/(2k y^2k) with
-    :func:`asymptotic_sum`, stopping at its smallest term or below
-    10^-(dps+2) of the lead.  The error is the kernel's plus the rounding of
-    the sum, (|shift head| + |expansion|) (shift + terms summed + 2) unit:
-    the two can cancel (psi near its zero), so their magnitudes count.
+    :func:`asymptotic_sum`, stopping below 10^-(dps+2) of the lead.  The
+    error is the kernel's plus the rounding of the sum, (|shift head| +
+    |expansion|) (shift + terms summed + 2) unit: the two can cancel (psi
+    near its zero), so their magnitudes count.
     """
     if n < 0:
         raise DomainError("polygamma order must be non-negative")
@@ -521,12 +505,14 @@ def polygamma(n: int, x) -> EvalResult:
     for i in range(shift):
         head -= 1 / (x + i)
     lead = 1 / (2 * y) - mp.log(y)
-    total, err, count = asymptotic_sum(
+    total, counted, omitted, count = asymptotic_sum(
         lead, DIGAMMA_COEFFS, y, 2, stop_scale() * abs(lead)
     )
     rounding = (abs(head) + abs(total)) * (shift + count + 2) * rounding_unit()
     return EvalResult(
-        value=head - total, error=float(err + rounding), method="shift-asymptotic"
+        value=head - total,
+        error=float(omitted + counted + rounding),
+        method="shift-asymptotic",
     )
 
 
@@ -539,10 +525,11 @@ def log_gamma(x) -> mpf:
         log Gamma(x) = (y - 1/2) log y - y + log(2 pi)/2
                        + sum_k B_2k / (2k(2k-1) y^(2k-1)) - log P,
 
-    the series summed by :func:`asymptotic_sum` over the whole Bernoulli
-    table: at y >= 12 its terms still fall at k = 32, and the remainder is
-    under 4e-34.  The absolute error is under (m + 6) rounding_unit() times
-    |log Gamma(x)| + sum_{i<m} |log(x+i)|: P's 2m - 1 roundings move log P
+    the series summed by :func:`asymptotic_sum` until a term falls below
+    10^-(dps+2) of the lead.  It envelops log Gamma (DLMF 5.11(ii)), so the
+    remainder is below the first omitted term: below that stop, or 6e-34 at
+    the table's end.  The absolute error is under (m + 6) rounding_unit()
+    times |log Gamma(x)| + sum_{i<m} |log(x+i)|: P's 2m - 1 roundings move log P
     by under 2m units, at most 0.12 m units of that sum, which exceeds
     log Gamma(12) > 17; each log, operation and addition rounds once, the
     kernel's floors stay far below one unit, and the remainder below one
@@ -554,7 +541,7 @@ def log_gamma(x) -> mpf:
     shift = recurrence_shift(x)
     y = x + shift
     lead = (y - mpf(1) / 2) * mp.log(y) - y + CONSTANTS.log_two_pi / 2
-    total, _, _ = asymptotic_sum(lead, STIRLING_COEFFS, y, 1)
+    total = asymptotic_sum(lead, STIRLING_COEFFS, y, 1, stop_scale() * abs(lead))[0]
     if shift:
         total -= mp.log(shift_products(x, shift)[0])
     return total

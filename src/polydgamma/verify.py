@@ -860,9 +860,12 @@ def audit_identities() -> list:
     ref = series(n, x + 1)
     tau = Approx.of(asymptotic_remainder(PolyDoubleArg(n, x), N))
     closed = asymptotic_closed_form(PolyDoubleArg(n, x))
-    sigma_derived, _ = asymptotic_bernoulli_sum(PolyDoubleArg(n, x), N)
-    # The printed block sum is the derived one at order n - 1.
-    sigma_printed, _ = asymptotic_bernoulli_sum(PolyDoubleArg(n - 1, x), N)
+    derived, _ = asymptotic_bernoulli_sum(n - 2, x, N)
+    # The printed block sum is the derived one at order n - 1 (p = n - 3),
+    # after the terms through B_2 (N = 1).
+    through_b2, _ = asymptotic_bernoulli_sum(n - 2, x, 1)
+    blocks_printed, _ = asymptotic_bernoulli_sum(n - 3, x, N, first=4)
+    sigma_printed = (-1) ** n * (through_b2 - blocks_printed)
     tau_printed = Approx(*_remainder_integral(n - 3, x, N, first=1))
 
     # Half-argument difference in Hurwitz-zeta and in polygamma terms.
@@ -921,7 +924,7 @@ def audit_identities() -> list:
          "printed sign/exponent/factorial fail the identity; the derived "
          "(-1)^n (2k+n)!/x^(2k+n+1) form is used"),
         ("tau-printed-form", "remainder integral with t^(n-3) weight and k starting at 1",
-         [(ref, closed + sigma_derived + (-1) ** (n + 1) * tau_printed)],
+         [(ref, closed + (-1) ** n * (derived - tau_printed))],
          "printed remainder integrand is consistent",
          "printed remainder fails the identity (and its integrand "
          "diverges like 1/t at the origin for n = 2); the derived "

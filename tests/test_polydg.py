@@ -328,12 +328,35 @@ class TestStructure:
     def test_asymptotic_without_remainder_error_honest(self):
         arg = PolyDoubleArg(2, mpf(15))
         ref = psi2_series(PolyDoubleArg(2, mpf(16)))
-        # The closed form plus sigma, without tau: the first omitted block
-        # is the error.
-        closed = asymptotic_closed_form(arg)
-        sigma, omitted = asymptotic_bernoulli_sum(arg, 4)
-        error = closed.error + float(omitted) + 1e-30
-        assert abs(ref.value - (closed.value + sigma)) <= 10 * error + 1e-20
+        # The closed form plus the Bernoulli part (sign (-1)^n = 1), without
+        # tau: the first omitted term is the error.
+        bernoulli, omitted = asymptotic_bernoulli_sum(0, arg.x, 4)
+        value = asymptotic_closed_form(arg) + bernoulli
+        error = value.error + float(omitted) + 1e-30
+        assert abs(ref.value - value.value) <= 10 * error + 1e-20
+
+    @pytest.mark.parametrize(
+        "n, x, N",
+        [(2, "2", 3), (3, "10", 4), (5, "1", 6), (4, "0.7", 5), (40, "12.5", 6),
+         (100000, "13", 6)],
+    )
+    def test_bernoulli_part_against_direct_sum(self, n, x, N):
+        # sum_{j<=2N} B_j (n-2+j)!/(j! x^(n-1+j)) at 80 digits, within the
+        # claim; the first omitted term is j = 2N+2.  The binomial
+        # coefficients keep n = 100000 cheap.
+        x = mpf(x)
+        start = time.perf_counter()
+        total, omitted = asymptotic_bernoulli_sum(n - 2, x, N)
+        elapsed = time.perf_counter() - start
+        with mp.workdps(80):
+            def term(j):
+                return mp.bernoulli(j) * mp.factorial(n - 2 + j) / (
+                    mp.factorial(j) * x ** (n - 1 + j))
+
+            ref = mp.fsum(term(j) for j in range(2 * N + 1))
+            assert abs(total.value - ref) <= total.error
+            assert abs(omitted - abs(term(2 * N + 2))) <= 1e-25 * omitted
+        assert elapsed < 0.05
 
 
 class TestDiDouble:

@@ -20,7 +20,6 @@ from polydgamma.quadrature import (
     integrate_de,
     integrate_panels,
 )
-from polydgamma.specfun import BERNOULLI
 
 
 class TestFinite:
@@ -112,7 +111,7 @@ def _remainder_reference(p, x, n_blocks, first):
                 if k > 0:
                     tk *= t / k
                 if k >= first:
-                    rem -= BERNOULLI[k] * tk
+                    rem -= mp.bernoulli(k) * tk
             return t**p * mp.exp(-x * t) * rem
 
         peak = mpf(p + 2 * n_blocks + 2) / x

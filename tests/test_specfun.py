@@ -12,9 +12,11 @@ from mpmath import mp, mpf
 
 from polydgamma import DomainError, hurwitz_zeta, log_barnes_g, log_gamma, polygamma
 from polydgamma.specfun import (
-    BERNOULLI,
+    BARNES_COEFFS,
     DIGAMMA_COEFFS,
+    STIRLING_COEFFS,
     WORKING_DPS,
+    _BERNOULLI_FRACTIONS,
     _bernoulli_fractions,
     asymptotic_sum,
     power_sum,
@@ -57,18 +59,19 @@ class TestBernoulli:
         exact = _bernoulli_fractions(12)
         for k, v in known.items():
             assert exact[k] == v
-            assert BERNOULLI[k] == mpf(v.numerator) / mpf(v.denominator)
+            assert _BERNOULLI_FRACTIONS[k] == v
 
     def test_odd_vanish(self):
-        for k in range(3, len(BERNOULLI), 2):
-            assert BERNOULLI[k] == 0
+        for k in range(3, len(_BERNOULLI_FRACTIONS), 2):
+            assert _BERNOULLI_FRACTIONS[k] == 0
 
-    def test_floats_match_exact_fractions(self):
+    def test_fractions_match_mpmath(self):
         # B_0..B_64, each within two roundings of mpmath's Bernoulli number.
-        assert len(BERNOULLI) == 65
-        for k, frac in enumerate(_bernoulli_fractions(64)):
-            assert BERNOULLI[k] == mpf(frac.numerator) / mpf(frac.denominator)
-            assert abs(BERNOULLI[k] - mp.bernoulli(k)) <= 2 * mp.eps * abs(BERNOULLI[k])
+        assert len(_BERNOULLI_FRACTIONS) == 65
+        assert _BERNOULLI_FRACTIONS == _bernoulli_fractions(64)
+        for k, frac in enumerate(_BERNOULLI_FRACTIONS):
+            value = mpf(frac.numerator) / mpf(frac.denominator)
+            assert abs(value - mp.bernoulli(k)) <= 2 * mp.eps * abs(value)
 
 
 class TestHurwitzZeta:
@@ -290,20 +293,37 @@ class TestAsymptoticSum:
     @pytest.mark.parametrize("y", ["12", "12.7", "30", "1e4"])
     def test_stop_rules_match_mpf_terms(self, n, y):
         # The terms stop where the mpf terms B_2k/(2k) y^-2k of digamma's
-        # series first grow or fall below 10^-(dps+2) of the lead.
+        # series first fall below 10^-(dps+2) of the lead, or at the
+        # table's last entry, which is never added.
         y = mpf(y)
         lead = 1 / (2 * y) - mp.log(y)
         small = stop_scale() * abs(lead)
-        _, _, count = asymptotic_sum(lead, DIGAMMA_COEFFS, y, n + 2, small)
+        _, counted, omitted, count = asymptotic_sum(lead, DIGAMMA_COEFFS, y, n + 2, small)
         with mp.workdps(60):
-            prev, expected = mp.inf, len(BERNOULLI) // 2
-            for k in range(1, len(BERNOULLI) // 2 + 1):
+            expected = len(DIGAMMA_COEFFS) - 1
+            for k in range(1, len(DIGAMMA_COEFFS)):
                 term = abs(mp.bernoulli(2 * k) / (2 * k * y ** (2 * k + n)))
-                if term > prev or term < small:
+                if term < small:
                     expected = k - 1
                     break
-                prev = term
+            k = expected + 1
+            term = abs(mp.bernoulli(2 * k) / (2 * k * y ** (2 * k + n)))
+            assert abs(omitted - term) <= counted
         assert count == expected
+
+    @pytest.mark.parametrize(
+        "table, e",
+        [(STIRLING_COEFFS, 1), (DIGAMMA_COEFFS, 2), (BARNES_COEFFS, 2)],
+        ids=["stirling", "digamma", "barnes"],
+    )
+    def test_fixed_tables_fall_at_the_shift_threshold(self, table, e):
+        # Every caller sums at y >= 12, where each table's terms c_k
+        # y^-(e+2k-2) fall strictly to its end, so a stop on growing terms
+        # would never fire.  The terms turn at k = 37 (Barnes) and 38; a
+        # table lengthened past that fails here.
+        y = Fraction(12)
+        terms = [abs(c) / y ** (e + 2 * k) for k, c in enumerate(table)]
+        assert all(a > b for a, b in zip(terms, terms[1:]))
 
     @pytest.mark.parametrize(
         "x", [1e-300, 1e300, mpf("1e100000")], ids=["1e-300", "1e300", "mpf-1e100000"]
