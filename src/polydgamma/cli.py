@@ -8,6 +8,7 @@ counterexample, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -37,10 +38,13 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path, header, rows):
+    """Write header and rows, each cell as :func:`_fmt` renders it: one %
+    format per row, whose "%.17g" prints a float as format(v, ".17g") does.
+    Each cell is converted by float() first, so mpf cells are accepted."""
+    line = ",".join([f"%.{CSV_DIGITS}g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % tuple(map(float, row)) for row in rows)
 
 
 def _finite_float(text) -> float:
@@ -247,11 +251,21 @@ def run_audit(args) -> int:
 
 
 def _linear_points(lo, hi, count, open_left=False):
-    if open_left:
-        step = (hi - lo) / count
-        return [mpf(lo) + (i + 1) * mpf(step) for i in range(count)]
-    step = (hi - lo) / (count - 1)
-    return [mpf(lo) + i * mpf(step) for i in range(count)]
+    """count doubles lo + k step, k = 1..count (open_left) or 0..count-1,
+    step being the double (hi - lo)/count or (hi - lo)/(count - 1).
+
+    Each point is the exact sum rounded once to the nearest double: with
+    lo = L/2^a and step = S/2^b over the common denominator D = 2^max(a, b),
+    it is the correctly rounded int quotient (L' + k S')/D.  That is the
+    double of the 30-digit sum mpf(lo) + k mpf(step), which is exact on the
+    figure grids, where it needs at most 62 of its 103 bits.
+    """
+    step = (hi - lo) / (count if open_left else count - 1)
+    (num_lo, den_lo), (num_step, den_step) = lo.as_integer_ratio(), step.as_integer_ratio()
+    den = max(den_lo, den_step)
+    num_lo, num_step = num_lo * (den // den_lo), num_step * (den // den_step)
+    first = 1 if open_left else 0
+    return [(num_lo + k * num_step) / den for k in range(first, first + count)]
 
 
 def run_figure(args) -> int:
@@ -267,6 +281,8 @@ def run_figure(args) -> int:
     whose claimed errors stay below 6e-13 (below 2e-13 relative; the
     30-digit mp.quad values differ by at most 5e-15 relative); a cell
     claiming more than 1e-9 would be recomputed by :func:`lemma_I1_value`.
+    The linear x-grids are the doubles of :func:`_linear_points`, which the
+    CSV prints and the float64 tier reads as they are.
     """
     fid = args.id
     out = args.out or f"figure{fid}.csv"
@@ -356,7 +372,10 @@ def run_limit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then shared:
+    argparse keeps no state of one parse on the parser."""
     parser = argparse.ArgumentParser(
         prog="polydg",
         description="Poly-double gamma evaluation, theorem checks, identity audit.",

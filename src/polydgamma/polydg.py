@@ -29,6 +29,7 @@ derivative-sign questions downstream reduce to direct evaluations.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -518,6 +519,12 @@ def psi2_cached(n: int, x) -> EvalResult:
 GRID_HEAD_TERMS = 20
 
 
+def _row_sums(rows):
+    """rows[0] + rows[1] + ..., added in that order (np.sum adds the rows of
+    a single column pairwise)."""
+    return functools.reduce(np.add, rows)
+
+
 def psi2_grid(n: int, x) -> Approx:
     """psi2^(n)(x) over a float64 array x as an :class:`Approx`, in one pass.
 
@@ -528,8 +535,11 @@ def psi2_grid(n: int, x) -> Approx:
     powers they cancel at large x (the half term by a factor b/(1+H)).  The
     derivative corrections run until two consecutive ones fall below
     1e-18 S, as in the mpf engine; at x = 21n + 1 the first one vanishes.
-    Head, integral and half term are positive, so no cancellation enters S,
-    and
+    The whole grid is one numpy pass: the head terms form one (H, ...)
+    array and all len(EM_WEIGHTS) corrections another, each point stopping
+    at its own correction, and every sum adds its rows in term order, so
+    each value is the one a term-by-term loop gives.  Head, integral and
+    half term are positive, so no cancellation enters S, and
 
         error = n! (larger of the last two corrections
                     + (H + 3(n+2) + 30) (2^-53 S + 2^-1074))
@@ -550,30 +560,38 @@ def psi2_grid(n: int, x) -> Approx:
         fact = float(math.factorial(n))
     except OverflowError:
         raise DomainError(f"{n}! does not fit a finite double") from None
-    H = GRID_HEAD_TERMS
+    H, J = GRID_HEAD_TERMS, len(EM_WEIGHTS)
+    column = (-1,) + (1,) * x.ndim
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        s = sum((1 + k) * (1 / (x + k)) ** (n + 1) for k in range(H))
+        k = np.arange(H, dtype=np.float64).reshape(column)
         b = x + H
         b_n = (1 / b) ** n
-        s = s + b_n * (x + n * (H + 1) - 1) / (n * (n - 1)) + (1 + H) * b_n / b / 2
+        head = (1 + k) * (1 / (x + k)) ** (n + 1)
+        integral = b_n * (x + n * (H + 1) - 1) / (n * (n - 1))
+        s = _row_sums([*head, integral, (1 + H) * b_n / b / 2])
         # f^(q)(0) = -(n)_q b^(-n-q) - (1-x) (n+1)_q b^(-n-1-q) at odd q, and
         # the correction -B_2j/(2j)! f^(2j-1)(0) enters with a plus sign.
+        # Row j holds both parts at q = 2j+1; the next is this times
+        # (n+q)(n+q+1) or (n+q+1)(n+q+2), then times b^-2.
         inv_b2 = 1 / (b * b)
-        d1 = n * b_n / b
-        d2 = (1 - x) * (n + 1) * b_n * inv_b2
-        total = s
-        prev = trunc = np.full(x.shape, np.inf)
-        active = np.ones(x.shape, dtype=bool)
-        for q, weight in zip(range(1, 2 * len(EM_WEIGHTS), 2), _TAYLOR[2::2]):
-            term = weight * (d1 + d2)
-            total = np.where(active, total + term, total)
-            trunc = np.where(active, np.maximum(abs(term), prev), trunc)
-            prev = abs(term)
-            active &= trunc >= 1e-18 * s
-            if not active.any():
-                break
-            d1 = d1 * ((n + q) * (n + q + 1)) * inv_b2
-            d2 = d2 * ((n + q + 1) * (n + q + 2)) * inv_b2
+        q = np.arange(1, 2 * J - 1, 2)
+        steps = np.stack([(n + q) * (n + q + 1), (n + q + 1) * (n + q + 2)], 1)
+        d = [np.stack([n * b_n / b, (1 - x) * (n + 1) * b_n * inv_b2])]
+        for step in steps.reshape((J - 1, 2) + (1,) * x.ndim):
+            d.append(d[-1] * step * inv_b2)
+        d = np.array(d)
+        terms = _TAYLOR[2 : 2 * J + 1 : 2].reshape(column) * (d[:, 0] + d[:, 1])
+        # Corrections 0..last are added, last being the first j < J - 1 at
+        # which both |T_j| and |T_j-1| fall below 1e-18 S (else J - 1); the
+        # claim is the larger of that pair.
+        size = abs(terms)
+        trunc = np.maximum(size, np.concatenate([np.full((1,) + x.shape, np.inf), size[:-1]]))
+        going = trunc >= 1e-18 * s
+        going[-1] = False
+        last = going.argmin(axis=0)
+        trunc = np.take_along_axis(trunc, last[None], axis=0)[0]
+        added = np.arange(J).reshape(column) <= last
+        total = _row_sums([s, *np.where(added, terms, 0.0)[: last.max(initial=0) + 1]])
         value = (-1) ** (n + 1) * fact * total
         rounding = (H + 3 * (n + 2) + 30) * (2.0**-53 * s + 2.0**-1074)
         error = fact * (trunc + rounding)

@@ -19,6 +19,8 @@ from .specfun import rounding_unit
 
 LOW_ORDER = 7
 HIGH_ORDER = 15
+# The most panels one call of an integrand of integrate_panels evaluates.
+PANEL_BLOCK = 128
 
 # The nonnegative nodes of the two rules with their weights, each the
 # double nearest to mp.gauss_quadrature(order, "legendre"); the rules are
@@ -54,8 +56,10 @@ def integrate_panels(f, lo: float, hi: float, panels: int, ulps: float = 0.0):
     """Integrals over (lo, hi) of a family of integrands, in one float64 pass.
 
     ``f(t)`` evaluates every integrand of the family elementwise at a column
-    of nodes ``t`` (shape (m, 1)), giving shape (m, K); it is called once per
-    panel, which keeps the arrays small.  Each of ``panels`` equal panels is
+    of nodes ``t`` (shape (m, 1)), giving shape (m, K).  It is called once,
+    on the 22 nodes of every panel, m = 22 * panels; past PANEL_BLOCK panels
+    it is called once per block of PANEL_BLOCK, so its arrays hold at most
+    22 * PANEL_BLOCK * K values.  Each of ``panels`` equal panels is
     estimated with the 7- and 15-point Gauss-Legendre rules.  Returns
     (value, error) arrays of shape (K,): the 15-point sums, and
 
@@ -66,19 +70,25 @@ def integrate_panels(f, lo: float, hi: float, panels: int, ulps: float = 0.0):
     units for the weights, the products and the nodes: a node rounded to a
     double moves its value of f by about 2^-53 of the node times f', which
     the 16 units cover for integrands smooth on the scale of a panel, as
-    |G15 - G7| already assumes.  NaN in ``f`` makes the value and error NaN.
+    |G15 - G7| already assumes.  The panels' sums are added in panel order.
+    NaN in ``f`` makes the value and error NaN.
     """
     x7, w7 = _float_rule(LOW_ORDER)
     x15, w15 = _float_rule(HIGH_ORDER)
-    nodes = np.concatenate([x7, x15])[:, None]
+    nodes = np.concatenate([x7, x15])
     half = (hi - lo) / (2 * panels)
     value = error = size = 0.0
-    for p in range(panels):
-        y = f(lo + half * (2 * p + 1) + half * nodes)
-        g7, g15 = half * (w7 @ y[:LOW_ORDER]), half * (w15 @ y[LOW_ORDER:])
-        value = value + g15
-        error = error + abs(g15 - g7)
-        size = size + half * (w15 @ abs(y[LOW_ORDER:]))
+    for first in range(0, panels, PANEL_BLOCK):
+        p = np.arange(first, min(first + PANEL_BLOCK, panels))
+        t = (lo + half * (2 * p + 1))[:, None] + half * nodes
+        y = f(t.reshape(-1, 1)).reshape(len(p), len(nodes), -1)
+        g7, g15 = half * (w7 @ y[:, :LOW_ORDER]), half * (w15 @ y[:, LOW_ORDER:])
+        sums = g15, abs(g15 - g7), half * (w15 @ abs(y[:, LOW_ORDER:]))
+        # Each running total enters as the first panel's addend, so the
+        # panels add in order across blocks.
+        for rows, total in zip(sums, (value, error, size)):
+            rows[0] += total
+        value, error, size = (np.add.accumulate(rows, axis=0)[-1] for rows in sums)
     c = HIGH_ORDER + panels + 16
     return value, error + (ulps + c) * 2.0**-53 * size
 

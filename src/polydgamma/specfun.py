@@ -191,14 +191,21 @@ class Approx:
 
 
 def _bernoulli_fractions(capacity: int) -> tuple:
-    # Defining recurrence: sum_{i=0}^{q} C(q+1, i) B_i = 0 for q >= 1.
-    values = [Fraction(1)]
-    for q in range(1, capacity + 1):
-        acc = Fraction(0)
-        for i in range(q):
-            acc += math.comb(q + 1, i) * values[i]
-        values.append(-acc / (q + 1))
-    return tuple(values)
+    """B_0..B_capacity as Fractions, the even ones from the tangent numbers
+    T_k = tan^(2k-1)(0) by Brent and Harvey's TangentNumbers recurrence
+    ("Fast computation of Bernoulli, tangent and secant numbers", 2013),
+    in integers: B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    half = capacity // 2
+    tangent = [0, 1] + [0] * (half - 1)
+    for k in range(2, half + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    values = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (capacity - 1)
+    for k in range(1, half + 1):
+        values[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * tangent[k], 4**k * (4**k - 1))
+    return tuple(values[: capacity + 1])
 
 
 # B_0..B_64, exact: every Bernoulli coefficient of the package is read here.

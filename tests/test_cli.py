@@ -9,11 +9,12 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from mpmath import mpf
 
 import polydgamma
-from polydgamma import CheckReport, psi2_cached, verify
+from polydgamma import CheckReport, cli, psi2_cached, verify
 from polydgamma.cli import CHECKS, main
 from polydgamma.verify import _f_derivative, _ThirtyDigitLookup
 
@@ -388,3 +389,56 @@ class TestFigures:
     def test_unwritable_path(self, capsys):
         assert main(["figure", "--id", "3",
                      "--out", "/nonexistent-dir/f.csv"]) == 2
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self, capsys):
+        cli._build_parser.cache_clear()
+        assert main(["eval", "--n", "2", "--x", "1"]) == 0
+        assert main(["eval", "--n", "3", "--x", "2"]) == 0
+        assert cli._build_parser.cache_info().misses == 1
+        assert cli._build_parser.cache_info().hits == 1
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        argv = ["check", "--id", "turan", "--grid-count", "5", "--format", "json"]
+        assert main(argv) in (0, 1)
+        first = capsys.readouterr().out
+        assert main(["check", "--id", "turan", "--bogus"]) == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert main(argv) in (0, 1)
+        assert capsys.readouterr().out == first
+
+    def test_help_then_valid_call(self, capsys):
+        assert main(["eval", "--n", "2", "--x", "1"]) == 0
+        first = capsys.readouterr().out
+        assert main(["eval", "--help"]) == 0
+        assert "--method" in capsys.readouterr().out
+        assert main(["eval", "--n", "2", "--x", "1"]) == 0
+        assert capsys.readouterr().out == first
+
+
+class TestCsvFastPaths:
+    @pytest.mark.parametrize(
+        "lo, hi, count, open_left", [(0.05, 4.0, 400, True), (1.01, 1.99, 100, False)]
+    )
+    def test_linear_points_round_the_mpf_sum(self, lo, hi, count, open_left):
+        # The figure grids: each point is the double of the 30-digit sum.
+        step = (hi - lo) / (count if open_left else count - 1)
+        first = 1 if open_left else 0
+        expected = [float(mpf(lo) + k * mpf(step)) for k in range(first, first + count)]
+        points = cli._linear_points(lo, hi, count, open_left=open_left)
+        assert all(type(p) is float for p in points)
+        assert [p.hex() for p in points] == [e.hex() for e in expected]
+
+    def test_write_csv_matches_per_cell_format(self, tmp_path):
+        special = [0.0, -0.0, 5e-324, 1e308, -1e308, 1 / 3]
+        rows = [
+            (float(v), np.float64(v) / 3, mpf(v) / 7) for v in special
+        ] + [(np.float64(-2.5), mpf("0.1"), 7e-310)]
+        header = ["a", "b", "c"]
+        out = tmp_path / "rows.csv"
+        cli._write_csv(out, header, rows)
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows
+        )
+        assert out.read_bytes() == expected.encode("utf-8")

@@ -27,15 +27,19 @@ from polydgamma import (
     psi2_integral,
     psi2_series,
 )
-from polydgamma import polydg
+from polydgamma import cli, polydg
 from polydgamma.polydg import (
+    GRID_HEAD_TERMS,
+    _TAYLOR,
     _kernel_density,
     asymptotic_bernoulli_sum,
     asymptotic_closed_form,
     asymptotic_remainder,
     psi2_grid,
 )
-from polydgamma.specfun import EvalResult
+from polydgamma.cli import CHECKS
+from polydgamma.specfun import EM_WEIGHTS, EvalResult
+from polydgamma.verify import Grid
 
 def _zeta(s, a):
     """zeta(s, a) = (-1)^s psi^(s-1)(a) / (s-1)!.  60-digit mp.zeta itself is
@@ -469,7 +473,74 @@ class TestCache:
         assert psi2_cached(3, x) == psi2_series(PolyDoubleArg(3, x))
 
 
+def _grid_term_by_term(n, x):
+    """psi2_grid's value and error by the term-by-term loop it replaced: the
+    head summed one term at a time, then one correction per iteration, each
+    point stopping once two consecutive ones fall below 1e-18 S."""
+    H = GRID_HEAD_TERMS
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        s = sum((1 + k) * (1 / (x + k)) ** (n + 1) for k in range(H))
+        b = x + H
+        b_n = (1 / b) ** n
+        s = s + b_n * (x + n * (H + 1) - 1) / (n * (n - 1)) + (1 + H) * b_n / b / 2
+        inv_b2 = 1 / (b * b)
+        d1 = n * b_n / b
+        d2 = (1 - x) * (n + 1) * b_n * inv_b2
+        total = s
+        prev = trunc = np.full(x.shape, np.inf)
+        active = np.ones(x.shape, dtype=bool)
+        for q, weight in zip(range(1, 2 * len(EM_WEIGHTS), 2), _TAYLOR[2::2]):
+            term = weight * (d1 + d2)
+            total = np.where(active, total + term, total)
+            trunc = np.where(active, np.maximum(abs(term), prev), trunc)
+            prev = abs(term)
+            active &= trunc >= 1e-18 * s
+            if not active.any():
+                break
+            d1 = d1 * ((n + q) * (n + q + 1)) * inv_b2
+            d2 = d2 * ((n + q + 1) * (n + q + 2)) * inv_b2
+        fact = float(math.factorial(n))
+        value = (-1) ** (n + 1) * fact * total
+        error = fact * (trunc + (H + 3 * (n + 2) + 30) * (2.0**-53 * s + 2.0**-1074))
+    return value, error
+
+
+def _figure_and_check_grids():
+    linear = np.array(cli._linear_points(0.05, 4.0, 400, open_left=True))
+    grids = {
+        "figure-linear": linear,
+        "figure-linear+1": linear + 1,
+        "figure-linear+2": linear + 2,
+        "figure-log": np.array(Grid(1.0, 40000.0, 200, "log").points(), dtype=float),
+    }
+    for cid, (_, defaults) in CHECKS.items():
+        if "grid" in defaults:
+            grids[cid] = np.array(defaults["grid"].points(), dtype=float)
+    return grids
+
+
 class TestGrid:
+    @pytest.mark.parametrize("name, x", _figure_and_check_grids().items())
+    def test_bit_equal_to_term_by_term_loop(self, name, x):
+        for n in range(2, 41):
+            expected = _grid_term_by_term(n, x)
+            if not all(np.isfinite(a).all() for a in expected):
+                with pytest.raises(DomainError):
+                    psi2_grid(n, x)
+                continue
+            value, error = psi2_grid(n, x)
+            assert value.tobytes() == expected[0].tobytes(), (name, n)
+            assert error.tobytes() == expected[1].tobytes(), (name, n)
+
+    def test_single_point_bit_equal_to_term_by_term_loop(self):
+        # One point is one column, which np.sum would add pairwise.
+        for n in (2, 3, 9, 40):
+            for x in (1e-3, 0.05, 0.7, 21.0 * n + 1, 1e4):
+                x = np.array([x])
+                assert [a.tobytes() for a in psi2_grid(n, x)] == [
+                    a.tobytes() for a in _grid_term_by_term(n, x)
+                ]
+
     @settings(max_examples=80, deadline=None)
     @given(
         n=st.integers(min_value=2, max_value=40),

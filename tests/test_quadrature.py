@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from polydgamma import DomainError, PolyDoubleArg, psi2_asymptotic
+from polydgamma import DomainError, PolyDoubleArg, polydg, psi2_asymptotic, verify
 from polydgamma.polydg import _remainder_integral
+from polydgamma.verify import lemma_I1_grid
 from polydgamma.quadrature import (
     HIGH_ORDER,
     LOW_ORDER,
+    PANEL_BLOCK,
     _float_rule,
     integrate_de,
     integrate_panels,
@@ -79,6 +81,58 @@ class TestPanels:
             value, error = integrate_panels(lambda t: np.exp(c * t), 0.0, 2.0, panels)
             exact = [(mp.exp(2 * mpf(ci)) - 1) / ci for ci in c]
             assert all(abs(v - e) <= err for v, e, err in zip(value, exact, error))
+
+    @staticmethod
+    def _panel_by_panel(f, lo, hi, panels, ulps=0.0):
+        """integrate_panels as the loop it replaced: one call of f per panel,
+        the panels' sums added one at a time."""
+        x7, w7 = _float_rule(LOW_ORDER)
+        x15, w15 = _float_rule(HIGH_ORDER)
+        nodes = np.concatenate([x7, x15])[:, None]
+        half = (hi - lo) / (2 * panels)
+        value = error = size = 0.0
+        for p in range(panels):
+            y = f(lo + half * (2 * p + 1) + half * nodes)
+            g7, g15 = half * (w7 @ y[:LOW_ORDER]), half * (w15 @ y[LOW_ORDER:])
+            value = value + g15
+            error = error + abs(g15 - g7)
+            size = size + half * (w15 @ abs(y[LOW_ORDER:]))
+        c = HIGH_ORDER + panels + 16
+        return value, error + (ulps + c) * 2.0**-53 * size
+
+    @pytest.mark.parametrize("panels", [1, 4, 51, PANEL_BLOCK, 2 * PANEL_BLOCK + 5])
+    @pytest.mark.parametrize("family", [1, 2, 30])
+    def test_bit_equal_to_panel_by_panel_loop(self, panels, family):
+        c = np.linspace(-7.0, 3.0, family)
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            return np.sin(c * t) * np.exp(-t) + t**3 / 7
+
+        value, error = integrate_panels(f, 0.3, 11.0, panels, ulps=5)
+        assert calls == [(22 * min(panels - k, PANEL_BLOCK), 1)
+                         for k in range(0, panels, PANEL_BLOCK)]
+        expected = self._panel_by_panel(f, 0.3, 11.0, panels, 5)
+        assert value.tobytes() == expected[0].tobytes()
+        assert error.tobytes() == expected[1].tobytes()
+
+    def test_callers_bit_equal_to_panel_by_panel_loop(self, monkeypatch):
+        # The remainder integrals of the asymptotic route and the audit, and
+        # figure 4's I_1 columns.
+        cases = [(0, 2.0, 3, 0), (1, 0.05, 6, 0), (3, 12.0, 6, 4), (38, 1e-3, 6, 1),
+                 (8, 100.0, 12, 0)]
+        a = np.linspace(1.01, 1.99, 100)
+
+        def run():
+            grids = [lemma_I1_grid(n, a) for n in (3, 4)]
+            return ([_remainder_integral(*case) for case in cases],
+                    [[part.tobytes() for part in grid] for grid in grids])
+
+        fast = run()
+        monkeypatch.setattr(polydg, "integrate_panels", self._panel_by_panel)
+        monkeypatch.setattr(verify, "integrate_panels", self._panel_by_panel)
+        assert fast == run()
 
     def test_nan_propagates(self):
         value, error = integrate_panels(

@@ -2,6 +2,7 @@
 log-gamma.  Frozen reference values were generated independently at 50
 decimal digits and are trusted well beyond every tolerance used here."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -65,13 +66,25 @@ class TestBernoulli:
         for k in range(3, len(_BERNOULLI_FRACTIONS), 2):
             assert _BERNOULLI_FRACTIONS[k] == 0
 
+    @staticmethod
+    def _defining_recurrence(capacity):
+        # sum_{i=0}^{q} C(q+1, i) B_i = 0 for q >= 1.
+        values = [Fraction(1)]
+        for q in range(1, capacity + 1):
+            acc = sum(math.comb(q + 1, i) * values[i] for i in range(q))
+            values.append(-acc / (q + 1))
+        return tuple(values)
+
+    @pytest.mark.parametrize("capacity", [0, 1, 2, 3, 12, 13, 64])
+    def test_tangent_numbers_match_defining_recurrence(self, capacity):
+        assert _bernoulli_fractions(capacity) == self._defining_recurrence(capacity)
+
     def test_fractions_match_mpmath(self):
-        # B_0..B_64, each within two roundings of mpmath's Bernoulli number.
+        # B_0..B_64 exactly; mpmath's B_1 is -1/2, as here.
         assert len(_BERNOULLI_FRACTIONS) == 65
         assert _BERNOULLI_FRACTIONS == _bernoulli_fractions(64)
         for k, frac in enumerate(_BERNOULLI_FRACTIONS):
-            value = mpf(frac.numerator) / mpf(frac.denominator)
-            assert abs(value - mp.bernoulli(k)) <= 2 * mp.eps * abs(value)
+            assert (frac.numerator, frac.denominator) == mp.bernfrac(k)
 
 
 class TestHurwitzZeta:
