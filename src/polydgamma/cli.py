@@ -268,6 +268,24 @@ def _linear_points(lo, hi, count, open_left=False):
     return [(num_lo + k * num_step) / den for k in range(first, first + count)]
 
 
+@functools.cache
+def _figure_xs():
+    """The x-grid of figures 1, 2, 5 and 6: 400 doubles in (0.05, 4]."""
+    return tuple(_linear_points(0.05, 4.0, 400, open_left=True))
+
+
+@functools.cache
+def _figure_grid(n: int, offset: int = 0):
+    """psi2_grid(n, x + offset) on :func:`_figure_xs`, evaluated once per
+    process: figures 1, 2, 5 and 6 read 9 distinct grids between them.  The
+    arrays are read-only, so no caller can change what another reads."""
+    xa = np.array(_figure_xs(), dtype=np.float64)
+    grid = psi2_grid(n, xa + offset if offset else xa)
+    for array in (grid.value, grid.error):
+        array.flags.writeable = False
+    return grid
+
+
 def run_figure(args) -> int:
     """Write the data of one figure as CSV.
 
@@ -279,25 +297,25 @@ def run_figure(args) -> int:
     by at most 2e-15, 2e-15, 7e-16, 4e-15 and 1.2e-12 relative.  Figure 4
     is one float64 Gauss-Legendre pass per column by :func:`lemma_I1_grid`,
     whose claimed errors stay below 6e-13 (below 2e-13 relative; the
-    30-digit mp.quad values differ by at most 5e-15 relative); a cell
-    claiming more than 1e-9 would be recomputed by :func:`lemma_I1_value`.
+    30-digit Gauss-Legendre values of :func:`lemma_I1_value` differ by at
+    most 5e-15 relative); a cell claiming more than 1e-9 would be
+    recomputed by lemma_I1_value.  The psi2_grid arrays of the linear
+    x-grid are shared through :func:`_figure_grid`.
     The linear x-grids are the doubles of :func:`_linear_points`, which the
     CSV prints and the float64 tier reads as they are.
     """
     fid = args.id
     out = args.out or f"figure{fid}.csv"
     if fid == 1:
-        xs = _linear_points(0.05, 4.0, 400, open_left=True)
+        xs = _figure_xs()
         header = ["x"] + [f"d{k}" for k in range(6)]
-        xa = np.array(xs, dtype=np.float64)
-        columns = [psi2_grid(3 + k, xa).value for k in range(6)]
+        columns = [_figure_grid(3 + k).value for k in range(6)]
     elif fid == 2:
-        xs = _linear_points(0.05, 4.0, 400, open_left=True)
+        xs = _figure_xs()
         header = ["x", "lhs", "rhs"]
-        xa = np.array(xs, dtype=np.float64)
         columns = [
-            psi2_grid(2, xa + 1).value ** 2,
-            psi2_grid(2, xa).value * psi2_grid(2, xa + 2).value,
+            _figure_grid(2, 1).value ** 2,
+            _figure_grid(2).value * _figure_grid(2, 2).value,
         ]
     elif fid == 3:
         xs = Grid(1.0, 40000.0, 200, "log").points()
@@ -319,13 +337,11 @@ def run_figure(args) -> int:
             ])
     elif fid in (5, 6):
         omega, sign = (0.25, 1) if fid == 5 else (0.75, -1)
-        xs = _linear_points(0.05, 4.0, 400, open_left=True)
+        xs = _figure_xs()
         header = ["x", "F" if fid == 5 else "negF"] + [f"d{k}" for k in range(1, 5)]
-        xa = np.array(xs, dtype=np.float64)
         # F^(k) for k <= 4 at n = 3 reads the orders n-1 .. n+5.
-        grids = {m: psi2_grid(m, xa) for m in range(2, 9)}
         columns = [
-            sign * verify._f_derivative(3, omega, k, grids.__getitem__).value
+            sign * verify._f_derivative(3, omega, k, _figure_grid).value
             for k in range(5)
         ]
     else:

@@ -22,7 +22,9 @@ The series of psi2^(n) is summed by the one Euler-Maclaurin engine in
 expansion, whose Bernoulli series :func:`asymptotic_sum` sums, as it does
 those of log Gamma and digamma.  Both kernels run in Python integers a
 little wider than the working precision, with exact coefficients, and count
-their own floors.
+their own floors.  The quadrature route runs the 64/32-point Gauss-Legendre
+pair of :func:`integrate_gauss` on the bracket of the Laplace integral that
+holds all but 10^-(INTEGRAL_DPS+2) of it.
 Differentiation in x is closed: d/dx psi2^(n) = psi2^(n+1), so
 derivative-sign questions downstream reduce to direct evaluations.
 """
@@ -40,7 +42,6 @@ from mpmath import mp, mpf
 from mpmath.libmp import (
     dps_to_prec,
     fone,
-    mpf_add,
     mpf_div,
     mpf_exp,
     mpf_mul,
@@ -50,7 +51,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DomainError
-from .quadrature import integrate_de, integrate_panels
+from .quadrature import integrate_gauss, integrate_panels
 from .specfun import (
     BARNES_COEFFS,
     CONSTANTS,
@@ -73,9 +74,14 @@ METHODS = ("auto", "series", "polygamma", "integral", "asymptotic")
 
 # Digits of the integral route, and the scale of its bracket's tails
 # (10^-(INTEGRAL_DPS+2) of the integral).  Its values are good to about
-# 1e-21 relative and claim about 5e-18; at 30 digits the route takes 1.5 to
-# 2 times as long.
+# 1e-22 relative and claim 1.3e-18 to 3.8e-18; at 30 digits the route takes
+# 2 to 3 times as long.
 INTEGRAL_DPS = 20
+
+# The density's argument t at which the Gauss-Legendre integrals cut their
+# pieces: its poles t = +-2 pi i k lie at a fixed ratio to the width of a
+# piece below, and e^(-t) < 5e-18 above.
+DENSITY_CUT = 40
 
 # Bernoulli blocks of the asymptotic route; the first omitted one is its error.
 ASYMPTOTIC_TERMS = 6
@@ -97,7 +103,8 @@ class PolyDoubleArg:
 
 
 def _density(n: int, t, wp: int):
-    """t^n / (1 - exp(-t))^2 at wp bits, on the raw mpf tuple t > 0.
+    """The Laplace density t^n / (1 - exp(-t))^2 of (-1)^(n+1) psi2^(n), at
+    wp bits, on the raw mpf tuple t > 0.
 
     Raw mpmath.libmp operations, a few units of 2^-wp off, with no mpf
     objects or precision contexts; the exponential is most of the cost.
@@ -110,11 +117,6 @@ def _density(n: int, t, wp: int):
         # 1 - exp(-t) with the bits its cancellation costs.
         em = mpf_sub(fone, mpf_exp(mpf_neg(t), wp + max(0, -mag) + 8), wp)
     return mpf_div(mpf_pow_int(t, n, wp), mpf_mul(em, em, wp), wp)
-
-
-def _kernel_density(n: int, t):
-    """Laplace density t^n / (1 - exp(-t))^2 of (-1)^(n+1) psi2^(n), t > 0."""
-    return mp.make_mpf(_density(n, mpf(t)._mpf_, mp.prec))
 
 
 def psi2_series(arg: PolyDoubleArg) -> EvalResult:
@@ -149,8 +151,8 @@ def psi2_from_polygamma(arg: PolyDoubleArg) -> EvalResult:
     return _floored(-n * lo + Approx.rounded(1 - x) * hi, "polygamma")
 
 
-# The integral route's cuts lie on this grid in s, so its bracket's lower
-# end and half-width are exact doubles.
+# The integral route's bracket ends lie on this grid in s, so they are exact
+# doubles.
 _CUT_GRID = 8
 
 
@@ -196,9 +198,9 @@ def _laplace_bracket(n: int, x):
     All of it is summed in logs, so no n or x overflows.  Each cut is the
     one nearest the peak, on the grid of 1/_CUT_GRID in [0, n-1] and
     [n+1, inf), whose tail bound stays below 10^-(INTEGRAL_DPS+2) L / 2.
-    Returns (s_lo, s_hi, tails): the cuts as floats and twice the sum of
-    the two tail bounds, as an mpf (the factor covers the rounding of the
-    logs).
+    Returns (s_lo, s_hi, tails, L): the cuts as floats, twice the sum of
+    the two tail bounds and L, as mpf (the factor covers the rounding of
+    the logs).
     """
     log_x = float(mp.log(x))
 
@@ -233,7 +235,7 @@ def _laplace_bracket(n: int, x):
         k_out, k_hi, step = k_hi, k_hi + step, 2 * step
     k_hi = _grid_cut(lambda k: above(k) <= target, k_hi, k_out)
     tails = mp.exp(_log_sum([below(k_lo), above(k_hi)]) + math.log(2))
-    return k_lo / _CUT_GRID, k_hi / _CUT_GRID, tails
+    return k_lo / _CUT_GRID, k_hi / _CUT_GRID, tails, mp.exp(log_floor)
 
 
 def psi2_integral(arg: PolyDoubleArg) -> EvalResult:
@@ -245,32 +247,35 @@ def psi2_integral(arg: PolyDoubleArg) -> EvalResult:
 
     whose integrand peaks in [n-2, n] on a scale of about sqrt(n) at every
     x.  Outside the bracket [s_lo, s_hi] of :func:`_laplace_bracket` lies
-    less than 10^-(INTEGRAL_DPS+2) of J.  The bracket is mapped linearly
-    onto [-1, 1], s = s_lo + h (1 + u) with h = (s_hi - s_lo)/2 and 1 + u
-    exact, so that mp.quad reuses its tanh-sinh nodes at every call, and
-    :func:`integrate_de` runs it there at INTEGRAL_DPS digits in one piece,
-    scaled by its value at s = n.  Tanh-sinh suits a finite interval
-    (Takahasi & Mori, Publ. RIMS 9 (1974)); mp.quad's algebraic map of
-    [0, inf) puts most of its nodes where the integrand is negligible.
-    The integrand is evaluated on raw mpf tuples (:func:`_density`) with
-    bitlength(s_hi) + 8 guard bits, so that the rounding of s and t, which
-    e^(-s) and t^n magnify at most s_hi times, stays below one unit of
-    INTEGRAL_DPS digits.  The error is integrate_de's plus the bracket's
+    less than 10^-(INTEGRAL_DPS+2) of J.  :func:`integrate_gauss` runs its
+    Gauss-Legendre pair on the bracket in s at INTEGRAL_DPS digits, with
+    the bracket's lower bound L on J as its scale.  The density's poles
+    t = +-2 pi i k lie at s = +-2 pi i k x, so the bracket is cut at
+    s = DENSITY_CUT x where that lies inside.  Below the cut the poles sit
+    at a fixed ratio to the panel's width, which the pair's bisection
+    resolves; above it they are far, and e^(-t) < 5e-18.  Without the cut,
+    at (2, 1e-3) the density's change on the scale x near s = 0 fell
+    between the nodes of both rules: G64 and G32 agreed to 1e-11 and both
+    were 2.8e-9 off.  The integrand is evaluated on raw mpf tuples
+    (:func:`_density`) with bitlength(s_hi) + 8 guard bits, so that the
+    rounding of s and t, which e^(-s) and t^n magnify at most s_hi times,
+    stays below one unit of INTEGRAL_DPS digits; the rule's nodes and sums
+    use the same bits.  The error is integrate_gauss's plus the bracket's
     tail bounds, rounded up to a double.
     """
     n, x = arg.n, arg.x
-    lo, hi, tails = _laplace_bracket(n, x)
-    half = (hi - lo) / 2
-    lo_, half_, x_ = mpf(lo)._mpf_, mpf(half)._mpf_, x._mpf_
+    lo, hi, tails, floor = _laplace_bracket(n, x)
+    x_ = x._mpf_
     wp = dps_to_prec(INTEGRAL_DPS) + math.ceil(hi).bit_length() + 8
 
-    def integrand(u):
-        s = mpf_add(lo_, mpf_mul(half_, mpf_add(u._mpf_, fone, 0), wp), wp)
-        e_s = mpf_exp(mpf_neg(s), wp)
-        return mp.make_mpf(mpf_mul(e_s, _density(n, mpf_div(s, x_, wp), wp), wp))
+    def integrand(s):
+        return mpf_mul(mpf_exp(mpf_neg(s), wp), _density(n, mpf_div(s, x_, wp), wp), wp)
 
-    value, error = integrate_de(integrand, [-1, 1], (n - lo) / half - 1, INTEGRAL_DPS)
-    value, error = half * value, (half * error + tails) / x
+    cut = DENSITY_CUT * x
+    points = [lo, cut, hi] if lo < cut < hi else [lo, hi]
+    with mp.workdps(INTEGRAL_DPS):
+        value, error = integrate_gauss(integrand, points, floor, wp)
+    error = (error + tails) / x
     # Rounded up to a double, so that a claim near the underflow stays one.
     return EvalResult(
         value=mpf(-1) ** (n + 1) * value / x,

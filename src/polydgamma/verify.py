@@ -19,9 +19,10 @@ claimed error; then at 30 digits (:func:`psi2_cached`) for the points that
 float64 does not decide: a margin within the gate, or a value that does not
 fit a double.  So each status is the one the 30-digit evaluation reaches;
 ``summary.escalated`` counts the recomputed points.
-The I_1 quadratures follow the same two tiers: one float64 Gauss-Legendre
-pass over the whole grid (:func:`lemma_I1_grid`), then a 30-digit mp.quad
-value (:func:`lemma_I1_value`) where that pass does not decide.
+The I_1 quadratures follow the same two tiers: one float64 7/15-point
+Gauss-Legendre pass over the whole grid (:func:`lemma_I1_grid`), then a
+30-digit value from the 64/32-point pair of :func:`integrate_gauss`
+(:func:`lemma_I1_value`) where that pass does not decide.
 
 Verification is numerical certification at finite depth on finite grids,
 not symbolic proof; report headers say so.
@@ -38,11 +39,13 @@ from functools import partial, reduce
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import fone, from_int, mpf_add, mpf_mul, mpf_sub
 
 from .errors import ConvergenceError, DomainError
 from .polydg import (
+    DENSITY_CUT,
     PolyDoubleArg,
-    _kernel_density,
+    _density,
     _remainder_integral,
     asymptotic_bernoulli_sum,
     asymptotic_closed_form,
@@ -55,7 +58,7 @@ from .polydg import (
     psi2_integral,
     psi2_series,
 )
-from .quadrature import integrate_de, integrate_panels
+from .quadrature import integrate_gauss, integrate_panels
 from .specfun import DOUBLE_UNIT, Approx, EvalResult, hurwitz_zeta, polygamma
 
 DISCLAIMER = "numerical certification at finite depth/grid; not a symbolic proof"
@@ -446,21 +449,31 @@ def check_F_cm(n: int, omega: float, depth: int, grid: Grid) -> CheckReport:
 def lemma_I1_value(n: int, a, tol: float) -> EvalResult:
     """I_1(a; n) = int_0^1 [(2n-3)u^2 - 1] f_n(a(1+u)) f_n(a(1-u)) du,
 
-    with f_n(t) = t^(n-1)/(1-e^(-t))^2, by :func:`integrate_de` at the working
-    precision, in two pieces broken at u = 1/sqrt(2n-3), where the factor
-    changes sign, scaled by the integrand at u = 0.  Raises ConvergenceError
-    when the claimed error exceeds ``tol``."""
+    with f_n(t) = t^(n-1)/(1-e^(-t))^2, by :func:`integrate_gauss` at the
+    working precision on raw mpf tuples (:func:`_density`, 8 guard bits),
+    its scale the integral of the magnitude.  The pieces break at
+    u = 1/sqrt(2n-3), where the factor changes sign, and where
+    a(1-u) = DENSITY_CUT, if that lies inside: f_n(a(1-u)) has poles at
+    u = 1 - 2 pi i k/a, at a fixed ratio to the width of the last piece.
+    Raises ConvergenceError when the claimed error exceeds ``tol``."""
     if n < 3:
         raise DomainError("lemma_I1_value requires n >= 3")
     a = mpf(a)
     if a <= 0:
         raise DomainError("lemma_I1_value requires a > 0")
-    f_n = partial(_kernel_density, n - 1)  # the Laplace density of psi2^(n-1)
+    wp = mp.prec + 8
+    a_, k = a._mpf_, from_int(2 * n - 3)
 
     def integrand(u):
-        return ((2 * n - 3) * u * u - 1) * f_n(a * (1 + u)) * f_n(a * (1 - u))
+        factor = mpf_sub(mpf_mul(k, mpf_mul(u, u, wp), wp), fone, wp)
+        # f_n is the Laplace density of psi2^(n-1).
+        hi = _density(n - 1, mpf_mul(a_, mpf_add(fone, u, wp), wp), wp)
+        lo = _density(n - 1, mpf_mul(a_, mpf_sub(fone, u, wp), wp), wp)
+        return mpf_mul(factor, mpf_mul(hi, lo, wp), wp)
 
-    value, error = integrate_de(integrand, [0, 1 / mp.sqrt(2 * n - 3), 1], 0, mp.dps)
+    cut = 1 - DENSITY_CUT / a
+    points = sorted({mpf(0), 1 / mp.sqrt(2 * n - 3), max(cut, mpf(0)), mpf(1)})
+    value, error = integrate_gauss(integrand, points, wp=wp)
     if not error <= tol:
         raise ConvergenceError(
             f"I_1 quadrature claims {mp.nstr(error, 3)}, above tol {tol:g}",
@@ -501,7 +514,7 @@ def lemma_I1_grid(n: int, a):
         # Near its zero, (2n-3)u^2 - 1 evaluated in float64 has no relative
         # accuracy; from the exact node it is rounded once.
         factor = [float((2 * n - 3) * Fraction(v) ** 2 - 1) for v in u.ravel()]
-        # f_n(t) = t^(n-1)/(1-e^(-t))^2, as _kernel_density(n - 1, t).
+        # f_n(t) = t^(n-1)/(1-e^(-t))^2, as _density(n - 1, t, wp).
         f1, f2 = ((a * v) ** (n - 1) / np.expm1(-a * v) ** 2 for v in (1 + u, 1 - u))
         normal = (f1 >= FLOAT_VALUE_FLOOR) & (f2 >= FLOAT_VALUE_FLOOR)
         return np.where(normal, np.reshape(factor, u.shape) * f1 * f2, np.nan)

@@ -383,6 +383,20 @@ class TestFigures:
                 float(cell)  # parses with dot decimal separator
                 assert "," not in cell
 
+    def test_shared_grids_are_read_only_and_unchanged(self):
+        # Figures 1, 2, 5 and 6 share one evaluation per (order, offset);
+        # each is the psi2_grid value of a fresh array, and no caller can
+        # write into it.
+        xa = np.array(cli._figure_xs(), dtype=np.float64)
+        for n, offset in [(2, 0), (2, 1), (2, 2), (5, 0), (8, 0)]:
+            grid = cli._figure_grid(n, offset)
+            assert cli._figure_grid(n, offset) is grid
+            fresh = cli.psi2_grid(n, xa + offset)
+            for cached, array in zip(grid, fresh):
+                assert cached.tobytes() == array.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    cached[0] = 0.0
+
     def test_bad_figure_id(self, capsys):
         assert main(["figure", "--id", "7"]) == 2
 

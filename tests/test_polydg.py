@@ -31,7 +31,7 @@ from polydgamma import cli, polydg
 from polydgamma.polydg import (
     GRID_HEAD_TERMS,
     _TAYLOR,
-    _kernel_density,
+    _density,
     asymptotic_bernoulli_sum,
     asymptotic_closed_form,
     asymptotic_remainder,
@@ -40,6 +40,12 @@ from polydgamma.polydg import (
 from polydgamma.cli import CHECKS
 from polydgamma.specfun import EM_WEIGHTS, EvalResult
 from polydgamma.verify import Grid
+
+def _kernel_density(n, t):
+    """The Laplace density t^n / (1 - exp(-t))^2 of (-1)^(n+1) psi2^(n) at
+    the working precision, through the raw-tuple :func:`_density`."""
+    return mp.make_mpf(_density(n, mpf(t)._mpf_, mp.prec))
+
 
 def _zeta(s, a):
     """zeta(s, a) = (-1)^s psi^(s-1)(a) / (s-1)!.  60-digit mp.zeta itself is
@@ -138,8 +144,8 @@ class TestRoutesAgainstOracles:
     @pytest.mark.parametrize("n", [2, 3, 6, 10, 40])
     @pytest.mark.parametrize("x", ["1e-3", "0.1", "1", "10", "100", "1e4"])
     def test_integral_claim_covers_error_quickly(self, n, x):
-        # mp.quad's own estimate reads far below the true error (1e-34 against
-        # 7e-22 relative at (10, 10)); the rounding allowance must cover it.
+        # The pair's extrapolated estimate reads far below the rounding; the
+        # rounding allowance must cover it.
         start = time.perf_counter()
         r = psi2_integral(PolyDoubleArg(n, mpf(x)))
         assert time.perf_counter() - start < 1.0
@@ -152,7 +158,7 @@ class TestRoutesAgainstOracles:
     @pytest.mark.parametrize("x", ["0.5", "1", "10"])
     def test_integral_claim_at_large_order(self, n, x):
         # On [0, inf) mp.quad claimed 3.1e-2 relative at (170, 1); on the
-        # bracket its estimate holds at about 1e-18.
+        # bracket the pair's claim holds at about 4e-18.
         r = psi2_integral(PolyDoubleArg(n, mpf(x)))
         with mp.workdps(80):
             ref = psi2_series(PolyDoubleArg(n, mpf(x))).value
@@ -164,12 +170,14 @@ class TestRoutesAgainstOracles:
                 assert r.error == math.inf
 
     @pytest.mark.parametrize(
-        "n,x,most", [(2, "1", 230), (3, "2", 230), (4, "0.5", 230), (40, "1e-3", 458)]
+        "n,x,before",
+        [(2, "1", 230), (3, "2", 230), (4, "0.5", 230), (40, "1e-3", 458), (170, "1", 458)],
     )
-    def test_integral_evaluation_count(self, n, x, most, monkeypatch):
-        # Density evaluations, the scale's included.  On [0, inf) these were
-        # 458, 230, 458 and 915; at (3, 2) tanh-sinh needs its fifth level
-        # on either interval.
+    def test_integral_evaluation_count(self, n, x, before, monkeypatch):
+        # Density evaluations, one per node: 96 per panel of the Gauss pair,
+        # against ``before`` for mp.quad's tanh-sinh on the same bracket.
+        # (2, 1) and (4, 0.5) are cut at s = 40x; (40, 1e-3) and (170, 1)
+        # bisect once.
         calls = []
         density = polydg._density
 
@@ -179,7 +187,40 @@ class TestRoutesAgainstOracles:
 
         monkeypatch.setattr(polydg, "_density", counted)
         psi2_integral(PolyDoubleArg(n, mpf(x)))
-        assert 0 < len(calls) <= most
+        expected = {(2, "1"): 192, (3, "2"): 96, (4, "0.5"): 192, (40, "1e-3"): 288,
+                    (170, "1"): 288}
+        assert len(calls) == expected[n, x] < before
+
+    def test_integral_claims_over_seeded_draws(self):
+        # Against -n psi^(n-1)(x) + (1-x) psi^(n)(x) at 80 digits, with a
+        # third of the draws within a factor of 2 of s_hi/40, where the cut at
+        # s = 40x enters the bracket.
+        rng = random.Random(29)
+        for i in range(40):
+            n = rng.randint(2, 170)
+            if i % 3 == 0:
+                hi = polydg._laplace_bracket(n, mpf(1))[1]
+                x = mpf(hi / 40 * 2 ** rng.uniform(-1, 1))
+            else:
+                x = mpf(10 ** rng.uniform(-3, 4))
+            r = psi2_integral(PolyDoubleArg(n, x))
+            with mp.workdps(80):
+                ref = -n * mp.psi(n - 1, x) + (1 - x) * mp.psi(n, x)
+                assert abs(r.value - ref) <= min(r.error, 1e-21 * abs(ref)), (n, x)
+                if abs(ref) < mpf("1e300") and abs(ref) > mpf("1e-290"):
+                    assert r.error <= 1e-17 * abs(ref), (n, x)
+
+    def test_integral_cut_is_needed(self, monkeypatch):
+        # Without the cut at s = 40x the pair agrees to 1e-11 at (2, 1e-3)
+        # and both rules miss the density's change on the scale x near
+        # s = 0: the value is 2.8e-9 off.  With it, 1e-21.
+        arg = PolyDoubleArg(2, mpf("1e-3"))
+        with mp.workdps(80):
+            ref = -2 * mp.psi(1, arg.x) + (1 - arg.x) * mp.psi(2, arg.x)
+        assert abs(psi2_integral(arg).value - ref) <= 1e-21 * abs(ref)
+        monkeypatch.setattr(polydg, "DENSITY_CUT", math.inf)
+        uncut = psi2_integral(arg)
+        assert abs(uncut.value - ref) > 1e-9 * abs(ref)
 
     @pytest.mark.parametrize("n,x", [(1000, "5"), (10000, "5"), (2, "1e-300")])
     def test_integral_extreme_arguments(self, n, x):

@@ -1,7 +1,7 @@
-"""Quadrature: mp.quad at fixed digits and the float64 panel rule against
-closed-form integrals, the panel rule against mpmath's Gauss-Legendre nodes,
-and the float64 integral of the asymptotic expansion's Bernoulli remainder
-against 30-digit mp.quad."""
+"""Quadrature: the mpf Gauss-Legendre pair and the float64 panel rule against
+closed-form integrals, both rules' tables against mpmath's Gauss-Legendre
+nodes, and the float64 integral of the asymptotic expansion's Bernoulli
+remainder against 30-digit mp.quad."""
 
 import warnings
 from functools import lru_cache
@@ -11,30 +11,55 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from polydgamma import DomainError, PolyDoubleArg, polydg, psi2_asymptotic, verify
+from polydgamma import (
+    ConvergenceError,
+    DomainError,
+    PolyDoubleArg,
+    polydg,
+    psi2_asymptotic,
+    verify,
+)
 from polydgamma.polydg import _remainder_integral
 from polydgamma.verify import lemma_I1_grid
 from polydgamma.quadrature import (
+    COMPANION_ORDER,
+    GAUSS_ORDER,
     HIGH_ORDER,
     LOW_ORDER,
+    MAX_GAUSS_PANELS,
     PANEL_BLOCK,
     _float_rule,
-    integrate_de,
+    _gauss_pair,
+    _mp_rule,
+    integrate_gauss,
     integrate_panels,
 )
 
 
+def on_raw(g):
+    """g, an mpf function, as the raw-tuple integrand integrate_gauss takes;
+    it also counts its calls in .calls."""
+
+    def f(t):
+        f.calls += 1
+        return mpf(g(mp.make_mpf(t)))._mpf_
+
+    f.calls = 0
+    return f
+
+
 class TestFinite:
     def test_polynomial_exactness(self):
-        # At 30 digits mp.quad gets low-degree polynomials to the working
+        # At 30 digits the pair gets low-degree polynomials to the working
         # precision; 3t^2 - 1 is split at its root so each piece keeps a sign.
-        value, error = integrate_de(
-            lambda t: 3 * t * t - 1, [0, 1 / mp.sqrt(3), 1], 1, 30
-        )
-        assert abs(value) < 1e-25 and error < 1e-25
+        with mp.workdps(30):
+            value, error = integrate_gauss(
+                on_raw(lambda t: 3 * t * t - 1), [0, 1 / mp.sqrt(3), 1]
+            )
+            assert abs(value) < 1e-25 and error < 1e-25
 
-        value, error = integrate_de(lambda t: 7 * t**6, [0, 2], 2, 30)
-        assert abs(value - 2**7) < 1e-22 and error < 1e-22
+            value, error = integrate_gauss(on_raw(lambda t: 7 * t**6), [0, 2])
+            assert abs(value - 2**7) < 1e-22 and error < 1e-22
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -46,12 +71,56 @@ class TestFinite:
         # tolerance the claim is within it and covers the actual error.
         tol = 10.0 ** (-tol_exp)
         points = [0, 1, b] if b > 1 else [0, b]
-        value, error = integrate_de(
-            lambda t: t * mp.exp(-t), points, min(1, b), tol_exp + 3
-        )
+        with mp.workdps(tol_exp + 3):
+            value, error = integrate_gauss(on_raw(lambda t: t * mp.exp(-t)), points)
         with mp.workdps(40):
             exact = 1 - (1 + mpf(b)) * mp.exp(-mpf(b))
             assert abs(value - exact) <= error <= tol
+
+
+class TestGauss:
+    @pytest.mark.parametrize("order", [COMPANION_ORDER, GAUSS_ORDER])
+    def test_table_is_the_mp_rule(self, order):
+        # The table's 45 decimals against mpmath's nodes at 50 digits.
+        with mp.workdps(50):
+            exact = sorted((x, w) for x, w in zip(*mp.gauss_quadrature(order, "legendre")) if x > 0)
+            table = [tuple(map(mp.make_mpf, pair)) for pair in _mp_rule(order)]
+            assert len(table) == len(exact) == order // 2
+            for (x, w), (tx, tw) in zip(exact, table):
+                assert abs(tx - x) <= mpf("6e-46") and abs(tw - w) <= mpf("6e-46")
+
+    def test_exact_degrees(self):
+        # G64 is exact to degree 127 and G32 to degree 63.  At degree 64 G32
+        # misses 1/65 by (32!)^4/(65 (64!)^2) = 4.5e-39, far above the
+        # table's 45 decimals.
+        with mp.workdps(50):
+            one, zero = mpf(1)._mpf_, mpf(0)._mpf_
+            for k in range(2 * GAUSS_ORDER):
+                g64, g32 = _gauss_pair(on_raw(lambda t: t**k), zero, one, mp.prec)
+                assert abs(g64 - mpf(1) / (k + 1)) < mpf("1e-43"), k
+                if k < 2 * COMPANION_ORDER:
+                    assert abs(g32 - mpf(1) / (k + 1)) < mpf("1e-43"), k
+            _, g32 = _gauss_pair(on_raw(lambda t: t**64), zero, one, mp.prec)
+            miss = mpf(1) / 65 - g32
+            assert mpf("4.4e-39") < miss < mpf("4.6e-39")
+
+    def test_near_pole_bisects_and_claim_covers(self):
+        # 1/(s^2 + 1e-6) has poles at +-0.001 i: one panel of [-1, 1] cannot
+        # resolve them, so the pair bisects toward s = 0.
+        with mp.workdps(30):
+            f = on_raw(lambda s: 1 / (s * s + mpf("1e-6")))
+            value, error = integrate_gauss(f, [-1, 1])
+            exact = 2000 * mp.atan(1000)
+            assert f.calls > 2 * (GAUSS_ORDER + COMPANION_ORDER)
+            assert abs(value - exact) <= error <= mpf("1e-24") * exact
+
+    def test_panel_cap_raises(self):
+        # Poles at +-1e-15 i need about 50 halvings on each side of 0.
+        with mp.workdps(30):
+            f = on_raw(lambda s: 1 / (s * s + mpf("1e-30")))
+            with pytest.raises(ConvergenceError, match=f"more than {MAX_GAUSS_PANELS} panels"):
+                integrate_gauss(f, [-1, 1])
+            assert f.calls <= 2 * MAX_GAUSS_PANELS * 2 * (GAUSS_ORDER + COMPANION_ORDER)
 
 
 class TestPanels:
@@ -143,12 +212,16 @@ class TestPanels:
 
 class TestSemiInfinite:
     def test_error_estimate_covers_truth(self):
-        # int_0^inf e^(-t) cos^2 t dt = 1/2 + 1/10; the integrand keeps its
-        # sign, as integrate_de's rounding allowance needs.
+        # int_0^inf e^(-t) cos^2 t dt = 1/2 + 1/10, on [0, 1] through
+        # t = u/(1-u); the integrand keeps its sign, as integrate_gauss's
+        # rounding allowance needs.
+        def g(u):
+            t = u / (1 - u)
+            return mp.exp(-t) * mp.cos(t) ** 2 / (1 - u) ** 2
+
         for dps in (15, 20, 30):
-            value, error = integrate_de(
-                lambda t: mp.exp(-t) * mp.cos(t) ** 2, [0, mp.inf], 0, dps
-            )
+            with mp.workdps(dps):
+                value, error = integrate_gauss(on_raw(g), [0, mpf(1) / 2, 1])
             with mp.workdps(40):
                 assert abs(value - mpf(3) / 5) <= error <= 10.0 ** (3 - dps)
 

@@ -125,6 +125,32 @@ class TestLemmaI1:
         q = lemma_I1_value(3, mpf("1.5"), tol=1e-10)
         assert abs(q.value - mpf(I1_ORACLE)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "n,a",
+        [(3, "1.5"), (4, "1.99"), (8, "1.01"), (3, "50.5"), (3, "120"), (10, "0.005"),
+         (10, "300")],
+    )
+    def test_value_within_claim_of_sixty_digit_quad(self, n, a):
+        # mp.quad at 60 digits, broken where the factor changes sign and
+        # where a(1-u) = 40.  The claim is relative to the integral of the
+        # magnitude, which at (10, 0.005) is 2e6 times |I_1|.  Without its
+        # cut at a(1-u) = 40, lemma_I1_value is 9e-25 relative off at
+        # (10, 300) and claims 1e-27.
+        q = lemma_I1_value(n, mpf(a), tol=math.inf)
+        with mp.workdps(60):
+            a = mpf(a)
+
+            def f(t):
+                return t ** (n - 1) / -mp.expm1(-t) ** 2
+
+            def integrand(u):
+                return ((2 * n - 3) * u * u - 1) * f(a * (1 + u)) * f(a * (1 - u))
+
+            cuts = {mpf(0), 1 / mp.sqrt(2 * n - 3), max(mpf(0), 1 - 40 / a), mpf(1)}
+            ref = mp.quad(integrand, sorted(cuts))
+            size = mp.quad(lambda u: abs(integrand(u)), sorted(cuts))
+            assert abs(q.value - ref) <= q.error <= 1e-25 * size
+
     def test_negativity(self):
         for n in (3, 4):
             r = check_lemma_I1(n, Grid(1.01, 1.99, 10, "linear"), 1e-9)
