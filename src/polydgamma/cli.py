@@ -90,11 +90,14 @@ def _emit(text, out):
 
 def run_eval(args) -> int:
     if args.psi2:
+        for dest in ("n", "method"):
+            if getattr(args, dest) is not None:
+                raise DomainError(f"eval --psi2 does not read --{dest}")
         result = psi2_didouble(mpf(args.x))
     else:
         if args.n is None:
             raise DomainError("eval requires --n (or --psi2)")
-        result = psi2_eval(PolyDoubleArg(args.n, mpf(args.x)), method=args.method)
+        result = psi2_eval(PolyDoubleArg(args.n, mpf(args.x)), method=args.method or "auto")
     value = _finite("value", result.value)
     error = _finite("error", result.error)
     if args.format == "json":
@@ -410,9 +413,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--method",
         choices=METHODS,
-        default="auto",
-        help="evaluation route; auto is the canonical series, the others are "
-        "explicit cross-checks that the identity audit also runs",
+        default=None,
+        help="evaluation route (default auto, the canonical series); the others "
+        "are explicit cross-checks that the identity audit also runs",
     )
     common(p_eval)
     p_eval.set_defaults(func=run_eval)

@@ -14,17 +14,14 @@ one another.  The series and the quadrature are independent of
 psi^(n), n >= 1, as n! zeta(n+1, x) on the series' own kernel, so the
 polygamma route checks the combination formula, not the summation.  The
 series is canonical: ``auto`` and the cache use it, and the other routes are
-explicit choices that the identity audit also checks.  The routes that combine other results compute
-their formulas in :class:`Approx`, so their claimed errors count the
-rounding of the combination.
-The series of psi2^(n) is summed by the one Euler-Maclaurin engine in
-:mod:`specfun`, :func:`power_sum`; log G comes from Barnes' asymptotic
-expansion, whose Bernoulli series :func:`asymptotic_sum` sums, as it does
-those of log Gamma and digamma.  Both kernels run in Python integers a
-little wider than the working precision, with exact coefficients, and count
-their own floors.  The quadrature route runs the 64/32-point Gauss-Legendre
-pair of :func:`integrate_gauss` on the bracket of the Laplace integral that
-holds all but 10^-(INTEGRAL_DPS+2) of it.
+explicit choices that the identity audit also checks.  The routes that
+combine other results compute their formulas in :class:`Approx`, so their
+claimed errors count the rounding of the combination.  :mod:`specfun`'s
+:func:`power_sum` sums the series, its Euler-Maclaurin tail on the term
+loop that also sums the Bernoulli series of log G (Barnes' expansion) and
+of the expansion route.  The quadrature route runs the 64/32-point
+Gauss-Legendre pair of :func:`integrate_gauss` on the bracket of the
+Laplace integral that holds all but 10^-(INTEGRAL_DPS+2) of it.
 Differentiation in x is closed: d/dx psi2^(n) = psi2^(n+1), so
 derivative-sign questions downstream reduce to direct evaluations.
 """
@@ -58,9 +55,9 @@ from .specfun import (
     SHIFT_THRESHOLD,
     Approx,
     EvalResult,
-    EM_WEIGHTS,
     _BERNOULLI_FRACTIONS as _B,
     asymptotic_sum,
+    bernoulli_binomials,
     log_gamma,
     polygamma,
     power_sum,
@@ -123,19 +120,17 @@ def psi2_series(arg: PolyDoubleArg) -> EvalResult:
     """Canonical series evaluation; every other route is audited against it.
 
     The sum of (1+k)/(x+k)^(n+1) is :func:`power_sum` at (x, n) with
-    numerator offset 1, its tail corrections stopping at 10^-(dps+2) of the
-    head plus the tail's leading integral.  The error is n! times the
-    kernel's (truncation and its counted floors) plus |value| * H *
-    rounding_unit(), H being its head terms, and the 1e-30 floor.
+    numerator offset 1, its two tails claiming the first corrections they
+    leave out, below 10^-(dps+2) of the head plus the leading integral.  The
+    error is n! times the kernel's (truncation and counted floors) plus
+    |value| * H * rounding_unit(), H its head terms, and the 1e-30 floor.
     """
     n, x = arg.n, arg.x
     fact = mp.factorial(n)
     s, err, head_terms = power_sum(x, n, 1)
     value = mpf(-1) ** (n + 1) * fact * s
     rounding = abs(value) * head_terms * rounding_unit()
-    return EvalResult(
-        value=value, error=float(fact * err + rounding) + 1e-30, method="series"
-    )
+    return EvalResult(value=value, error=float(fact * err + rounding) + 1e-30, method="series")
 
 
 def _floored(a: Approx, method: str) -> EvalResult:
@@ -414,15 +409,16 @@ def asymptotic_bernoulli_sum(p: int, x, n_blocks: int, first: int = 0):
     first = 0, (-1)^n times the Bernoulli part of the expansion of
     psi2^(n)(x+1).  As p! (lead + sum_{even k} B_k C(p+k, k) x^-(p+1+k)),
     the lead the k = 1 term -(p+1)/(2 x^(p+2)) if first <= 1, the even terms
-    are one :func:`asymptotic_sum` call with binomials of about k log2(p)
-    bits, its last entry the k = 2N+2 term.  x > 0 is an mpf taken exactly.
+    are one :func:`asymptotic_sum` call on a slice of the cached
+    :func:`bernoulli_binomials` table at p, its last entry the k = 2N+2
+    term.  x > 0 is an mpf taken exactly.
 
     Returns (total, omitted): total an :class:`Approx` claiming every
     rounding and no truncation; omitted the k = 2N+2 term's magnitude.
     """
-    even = range(first + first % 2, 2 * n_blocks + 3, 2)
-    coeffs = [_B[k] * math.comb(p + k, k) for k in even]
-    s, counted, omitted, _ = asymptotic_sum(mpf(0), coeffs, x, p + 1 + even[0])
+    lo = (first + 1) // 2
+    coeffs = bernoulli_binomials(p)[lo : n_blocks + 2]
+    s, counted, omitted, _ = asymptotic_sum(mpf(0), coeffs, x, p + 1 + 2 * lo)
     total = Approx.rounded(s, counted)
     if first <= 1:
         total += -(p + 1) * Approx(x, 0) ** -(p + 2) / 2
@@ -520,8 +516,9 @@ def psi2_cached(n: int, x) -> EvalResult:
     return _cached_value(n, mpf(x), mp.prec)
 
 
-# Head terms summed directly before the Euler-Maclaurin tail of psi2_grid.
+# psi2_grid's head terms, summed directly, and its most tail corrections.
 GRID_HEAD_TERMS = 20
+GRID_CORRECTIONS = 14
 
 
 def _row_sums(rows):
@@ -538,10 +535,10 @@ def psi2_grid(n: int, x) -> Approx:
     Its integral b^-n (x + n(H+1) - 1)/(n(n-1)) and half term
     (1+H)/(2 b^(n+1)) are each one positive product: split into the two
     powers they cancel at large x (the half term by a factor b/(1+H)).  The
-    derivative corrections run until two consecutive ones fall below
-    1e-18 S, as in the mpf engine; at x = 21n + 1 the first one vanishes.
-    The whole grid is one numpy pass: the head terms form one (H, ...)
-    array and all len(EM_WEIGHTS) corrections another, each point stopping
+    derivative corrections, at most J = GRID_CORRECTIONS, run until two
+    consecutive ones fall below 1e-18 S; at x = 21n + 1 the first one
+    vanishes.  The whole grid is one numpy pass: the head terms form one
+    (H, ...) array and all J corrections another, each point stopping
     at its own correction, and every sum adds its rows in term order, so
     each value is the one a term-by-term loop gives.  Head, integral and
     half term are positive, so no cancellation enters S, and
@@ -565,7 +562,7 @@ def psi2_grid(n: int, x) -> Approx:
         fact = float(math.factorial(n))
     except OverflowError:
         raise DomainError(f"{n}! does not fit a finite double") from None
-    H, J = GRID_HEAD_TERMS, len(EM_WEIGHTS)
+    H, J = GRID_HEAD_TERMS, GRID_CORRECTIONS
     column = (-1,) + (1,) * x.ndim
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         k = np.arange(H, dtype=np.float64).reshape(column)

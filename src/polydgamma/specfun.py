@@ -3,16 +3,16 @@
 Bernoulli numbers (exact rationals), log-gamma, digamma/polygamma and the
 Hurwitz zeta function, each evaluated with a controlled absolute error.
 Series run in Python integers a little wider than the working precision,
-with exact rational coefficients, and count their own floors: the one
-Euler-Maclaurin engine, :func:`power_sum`, sums the Hurwitz zeta, psi^(n)
-(n >= 1, as (-1)^(n+1) n! zeta(n+1, x)) and psi2^(n) series, and
-:func:`asymptotic_sum` the Bernoulli asymptotic series of log Gamma, log G
-and digamma from fixed coefficient tables, and the Bernoulli part of the
-psi2^(n) expansion from coefficients built per order.  Their leading terms,
-the recurrence shifts and the constants run through mpmath at a fixed
-working precision.  Every non-trivial evaluation returns an :class:`EvalResult`
-carrying an explicit error estimate, so downstream code never has to guess
-how many digits are trustworthy.
+with exact rational coefficients, and count their own floors.  One term
+loop, :func:`_term_sum`, sums every Bernoulli series: for
+:func:`power_sum`, the Euler-Maclaurin tails of the Hurwitz zeta, psi^(n)
+(n >= 1, as (-1)^(n+1) n! zeta(n+1, x)) and psi2^(n) series; for
+:func:`asymptotic_sum`, the asymptotic series of log Gamma, log G, digamma
+and the psi2^(n) expansion.  Their leading terms, the recurrence shifts and
+the constants run through mpmath at a fixed working precision.  Every
+non-trivial evaluation returns an :class:`EvalResult` carrying an explicit
+error estimate, so downstream code never has to guess how many digits are
+trustworthy.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ WORKING_DPS = 30
 if mp.dps < WORKING_DPS:
     mp.dps = WORKING_DPS
 
-# Absolute error scale of the hurwitz_zeta stop rule, which ends its tail
-# far below it.
-ABS_TOL = 1e-12
+# Absolute size of the first tail correction that hurwitz_zeta leaves out.
+ABS_TOL = 1e-22
 # Argument size above which asymptotic expansions and Euler-Maclaurin tails
 # are trusted; smaller arguments are recurrence-shifted past it first.
 SHIFT_THRESHOLD = 12.0
@@ -211,10 +210,6 @@ def _bernoulli_fractions(capacity: int) -> tuple:
 # B_0..B_64, exact: every Bernoulli coefficient of the package is read here.
 _BERNOULLI_FRACTIONS = _B = _bernoulli_fractions(64)
 
-# Euler-Maclaurin correction weights B_2j / (2j)!, j = 1..14, exact: the
-# most corrections power_sum applies before reporting what it has.
-EM_WEIGHTS = tuple(_B[2 * j] / math.factorial(2 * j) for j in range(1, 15))
-
 # Coefficients c_k of the Bernoulli asymptotic series, k = 1, 2, ..., exact,
 # for asymptotic_sum: Stirling's B_2k/(2k(2k-1)) for log Gamma, B_2k/(2k)
 # for digamma, and Barnes' B_2k+2/(4k(k+1)) for log G, one shorter as it
@@ -222,6 +217,14 @@ EM_WEIGHTS = tuple(_B[2 * j] / math.factorial(2 * j) for j in range(1, 15))
 STIRLING_COEFFS = tuple(_B[2 * k] / (2 * k * (2 * k - 1)) for k in range(1, 33))
 DIGAMMA_COEFFS = tuple(_B[2 * k] / (2 * k) for k in range(1, 33))
 BARNES_COEFFS = tuple(_B[2 * k + 2] / (4 * k * (k + 1)) for k in range(1, 32))
+
+
+@lru_cache(maxsize=256)
+def bernoulli_binomials(p: int) -> tuple:
+    """B_k C(p+k, k), even k = 0..64, exact, cached per order p >= 0: the
+    Bernoulli part of the psi2^(n) expansion at p = n - 2, and, over p + 1,
+    the Euler-Maclaurin corrections j = 1..32 of zeta(p+2, b)."""
+    return tuple(_B[k] * math.comb(p + k, k) for k in range(0, 65, 2))
 
 
 @dataclass(frozen=True)
@@ -282,6 +285,39 @@ def _fixed(x, f, num=1, den=1):
     return (m << shift) // den if shift >= 0 else (m >> -shift) // den
 
 
+def _units(x, f, w):
+    """The mpf x >= 0 floored on the grid 2^-f; past 2^2w units, 2^2w."""
+    m, e = x.man_exp
+    return _fixed((m, e), f) if m.bit_length() + e + f < 2 * w else 1 << 2 * w
+
+
+def _term_sum(power, inv_y2, coeffs, f, w, e, threshold):
+    """sum_k c_k P y^-2k on the grid 2^-f, the term loop of both kernels.
+
+    P = ``power`` (y^-e or a multiple, a (mantissa, exponent) pair within
+    (e + 32) 2^(6-w)) times ``inv_y2`` = y^-2, truncated to w bits, gives
+    each next power, the k-th within (e + 2k + 32) 2^(6-w); a term is one
+    floored product with the exact Fraction c_k.  The one stop rule: the sum
+    ends before the first term below ``threshold`` units, or at the last
+    entry of ``coeffs``, read and never added.  Returns, in units of 2^-f,
+    the sum, its rounding (a unit per term computed plus (e + 2K + 32)
+    2^(7-w) of the K terms' magnitudes) and the term that ended it, in
+    magnitude; then the terms added.
+    """
+    total = magnitude = 0
+    for count, c in enumerate(coeffs):
+        term = _fixed(power, f, c.numerator, c.denominator)
+        size = abs(term)
+        magnitude += size
+        if size < threshold or count == len(coeffs) - 1:
+            break
+        total += term
+        power = _mul(power, inv_y2, w)
+    floors = count + 1
+    rounding = floors + ((e + 2 * floors + 32) * (magnitude + floors) >> (w - 7)) + 1
+    return total, rounding, size, count
+
+
 def power_sum(a, p: int, d=None, stop=None):
     """S = sum_{k>=0} (d+k)/(a+k)^(p+1) in fixed point, or sum (a+k)^(-p)
     when ``d`` is None (or equals a).
@@ -304,19 +340,24 @@ def power_sum(a, p: int, d=None, stop=None):
     short by under 2^(3-w) relative and a truncation by under 2^(1-w), so
     by induction on q (E(2j) = 2E(j) + 2^(1-w), E(2j+1) = 2E(j) + 2^(3-w) +
     2^(1-w)) a truncated q-th power is short by under q 2^(4-w).  The tail
-    at b = a + H is Euler-Maclaurin at k = 0: the integral, the half term
-    and at most 14 corrections B_2j/(2j)! f^(2j-1)(b), from the exact
-    weights EM_WEIGHTS and the derivative recurrence on (mantissa,
-    exponent) pairs of w bits.  Corrections stop once two consecutive ones
-    fall below ``stop`` (a stop above 2^w S counts as 2^w S) or, by default,
-    below 10^-(dps+2) of the head plus the leading integral b^(1-p)/(p-1):
-    the terms can cancel exactly in one correction at isolated arguments.
+    at b = a + H is zeta(p, b) + c zeta(p+1, b), each by Euler-Maclaurin at
+    k = 0: its integral and half term, then its corrections j >= 1, entry j
+    of bernoulli_binomials(s-2) times b^-(s+2j-1)/(s-1) at s = p and p + 1,
+    summed by :func:`_term_sum` from b^-(s+1)/(s-1), one more floor.  Each
+    is about ((s+2j)/(2 pi b))^2 times the one before, so a sum reads at
+    most ceil(pi b - s/2) of them, 1 to 32, and stops before the first below
+    ``stop`` or, by default, 10^-(dps+2) of the head plus the leading
+    integral b^(1-p)/(p-1).  As (b+t)^-s is completely monotone, each
+    remainder lies between 0 and the correction that ended its sum (DLMF
+    2.10(i)); the sums run apart as (d+t)/(b+t)^(p+1) is not completely
+    monotone when c < 0.
 
-    Returns (S, error, H).  The error is the truncation, the larger of the
-    last two corrections, plus what the kernel counts of its own rounding:
-    each summed term is within rho = (p + 32) 2^(6-w) of its exact value
-    before its floor, which adds under one unit of 2^-F.  S itself is
-    rounded once more to mp.prec, which the callers count.
+    Returns (S, error, H).  The error is the truncation, the two
+    corrections that ended the sums, plus the rounding the kernel counts:
+    each head and leading term is within rho = (p + 32) 2^(6-w) of its
+    exact value before its floor, each floor adds under one unit of 2^-F,
+    and the corrections count as in :func:`_term_sum` at e = s + 1.  S
+    itself is rounded once more to mp.prec, which the callers count.
     """
     w = mp.prec + _GUARD_BITS + (p + 32).bit_length() + 6
     _, am, ae, _ = a._mpf_
@@ -356,70 +397,49 @@ def power_sum(a, p: int, d=None, stop=None):
              - 2 * p.bit_length())
     f = w - max(first, integral, whole - w)
 
-    total = 0
-    for numerator, (pow_m, pow_e) in head:
-        total += _fixed(numerator, f - pow_e, 1, pow_m)
+    total = sum(_fixed(num, f - pow_e, 1, pow_m) for num, (pow_m, pow_e) in head)
     c_pow = _mul(c, inv_pow, w)
     lead = _fixed(_mul(b, inv_pow, w), f, 1, p - 1)
-    if stop is None:
-        threshold = (total + lead) // 10 ** (mp.dps + 2)
-    elif mp.mag(stop) + f < 2 * w:
-        threshold = _fixed(mpf(stop).man_exp, f)
-    else:
-        threshold = 1 << 2 * w
-    parts = [
-        total,
-        lead,
-        _fixed(c_pow, f, 1, p),
-        _fixed(inv_pow, f, 1, 2),
-        _fixed(_mul(c_pow, inv_b, w), f, 1, 2),
-    ]
+    threshold = (total + lead) // 10 ** (mp.dps + 2) if stop is None else _units(stop, f, w)
+    parts = [total, lead, _fixed(c_pow, f, 1, p), _fixed(inv_pow, f, 1, 2),
+             _fixed(_mul(c_pow, inv_b, w), f, 1, 2)]
     total = sum(parts)
     magnitude = sum(abs(t) for t in parts)
     floors = head_terms + 4
-    # f^(q)(b) = -(p)_q b^(-p-q) - c (p+1)_q b^(-p-1-q) at odd q, and the
-    # correction -B_2j/(2j)! f^(2j-1)(b) enters with a plus sign.
-    d1 = _mul(_mul(inv_pow, inv_b, w), (p, 0), w)
-    d2 = _mul(_mul(c_pow, inv_b2, w), (p + 1, 0), w)
-    prev = err = math.inf
-    for j, weight in enumerate(EM_WEIGHTS):
-        num, den = weight.numerator, weight.denominator
-        term = _fixed(d1, f, num, den) + _fixed(d2, f, num, den)
-        total += term
-        magnitude += abs(term)
-        floors += 2
-        err = max(abs(term), prev)
-        if err < threshold:
-            break
-        prev = abs(term)
-        r = p + 2 * j + 1
-        d1 = _mul(_mul(d1, inv_b2, w), (r * (r + 1), 0), w)
-        d2 = _mul(_mul(d2, inv_b2, w), ((r + 1) * (r + 2), 0), w)
-    rounding = floors + ((p + 32) * (magnitude + floors) >> (w - 7)) + 1
-    return (
-        mpf((total, -f)),
-        mp.ldexp(mpf(err + rounding), -f),
-        head_terms,
-    )
+    error = floors + ((p + 32) * (magnitude + floors) >> (w - 7)) + 1
+    # Correction j of zeta(s, b), s = p and p + 1 (times c): B_2j C(s+2j-2, 2j)
+    # b^-(s+2j-1)/(s-1), from the table at s - 2 and the power b^-(s+1)/(s-1).
+    tails = [(p, _mul(inv_pow, inv_b, w)), (p + 1, _mul(c_pow, inv_b2, w))]
+    pi_b = math.pi * min(float(a) + head_terms, 1e18)
+    for s, (m, e) in tails[: 2 if cm else 1]:
+        shift = (s - 1).bit_length()
+        count = max(1, min(32, math.ceil(pi_b - s / 2)))
+        coeffs = bernoulli_binomials(s - 2)[1 : count + 1]
+        t, rounding, omitted, _ = _term_sum(((m << shift) // (s - 1), e - shift), inv_b2,
+                                            coeffs, f, w, s + 1, threshold)
+        total, error = total + t, error + rounding + omitted
+    return mpf((total, -f)), mp.ldexp(mpf(error), -f), head_terms
 
 
 def hurwitz_zeta(s: int, a) -> EvalResult:
     """zeta(s, a) = sum_{k>=0} (k+a)^(-s) for integer s >= 2, a > 0.
 
-    :func:`power_sum` at (a, s), its tail corrections stopping once two
-    consecutive ones fall below max(1e-18, 10^-(dps+2)), an absolute stop.
-    The reported error is the kernel's plus value * H * rounding_unit(),
-    H being its head terms: the rounding of a head summed in mpf.
+    :func:`power_sum` at (a, s), its tail stopping before the first
+    correction below max(ABS_TOL, 10^-(dps+2)), an absolute stop, which it
+    claims.  The error is the kernel's plus value * H * rounding_unit(), H
+    being its head terms (the rounding of a head summed in mpf), rounded up.
     """
     if s < 2 or int(s) != s:
         raise DomainError("hurwitz_zeta requires an integer s >= 2")
     a = mpf(a)
     if a <= 0:
         raise DomainError("hurwitz_zeta requires a > 0")
-    stop = max(mpf(ABS_TOL) * mpf("1e-6"), stop_scale())
+    stop = max(mpf(ABS_TOL), stop_scale())
     value, err, head_terms = power_sum(a, int(s), stop=stop)
     rounding = value * head_terms * rounding_unit()
-    return EvalResult(value=value, error=float(err + rounding), method="euler-maclaurin")
+    # Rounded up: the claim is nearly the truncation, so no subnormal slack.
+    error = math.nextafter(float(err + rounding), math.inf)
+    return EvalResult(value=value, error=error, method="euler-maclaurin")
 
 
 def asymptotic_sum(lead, coeffs, y, e: int, small=0):
@@ -427,25 +447,19 @@ def asymptotic_sum(lead, coeffs, y, e: int, small=0):
     fixed point.
 
     ``coeffs`` holds the c_k as exact Fractions: a fixed table such as
-    ``STIRLING_COEFFS``, or one built per call.  ``lead`` and ``y`` > 0 are
-    mpf numbers and e >= 1 an integer.  The one stop rule: the sum ends
-    before the first term below ``small``, or at the last entry of
-    ``coeffs``, which is read and never added.
-
-    y^-e is y floored to w = mp.prec + 20 + bitlength(e+96) + 6 bits, raised
-    to the e-th power by binary powering truncated to w bits (short by under
-    e 2^(4-w), see :func:`power_sum`), and inverted by one floored division.
-    Each later power is the one before times the floored y^-2, truncated to
-    w bits, so the k-th is within (e + 2k + 32) 2^(6-w) of y^-(e+2k-2).  A
-    term is one floored product of its power and c_k on the grid 2^-F, F
-    chosen so that the first term spans w bits: no integer grows past about
-    2w bits plus the table's and, where the terms grow, the bits they gain.
+    ``STIRLING_COEFFS``, or a slice of :func:`bernoulli_binomials`.
+    ``lead`` and ``y`` > 0 are mpf numbers and e >= 1 an integer.
+    :func:`_term_sum` sums the series, stopping before the first term below
+    ``small``, from y^-e: y floored to w = mp.prec + 20 + bitlength(e+96) +
+    6 bits, raised to the e-th power by binary powering truncated to w bits
+    (short by under e 2^(4-w), see :func:`power_sum`) and inverted by one
+    floored division.  The grid is 2^-F, F chosen so that the first term
+    spans w bits: no integer grows past about 2w bits plus the table's and,
+    where the terms grow, the bits they gain.
 
     Returns (value, rounding, omitted, count): lead plus the sum S, S
     rounded to mp.prec and then added (two roundings, which the callers
-    count); the kernel's own rounding, one unit of 2^-F per term computed
-    and (e + 2K + 32) 2^(6-w) of their magnitudes, K being their number;
-    the magnitude of the term that ended the sum; the terms added.
+    count); then what :func:`_term_sum` returns, scaled from units of 2^-F.
     """
     w = mp.prec + _GUARD_BITS + (e + 96).bit_length() + 6
     _, ym, ye, _ = y._mpf_
@@ -456,24 +470,10 @@ def asymptotic_sum(lead, coeffs, y, e: int, small=0):
     first = coeffs[0]
     f = w - (power[0].bit_length() + power[1]
              + abs(first.numerator).bit_length() - first.denominator.bit_length())
-    threshold = 0
-    if small:
-        sm, se = small.man_exp
-        # A stop past 2^2w units lies above every term and counts as 2^2w.
-        threshold = _fixed((sm, se), f) if sm.bit_length() + se + f < 2 * w else 1 << 2 * w
-
-    total = magnitude = 0
-    for count, c in enumerate(coeffs):
-        term = _fixed(power, f, c.numerator, c.denominator)
-        magnitude += abs(term)
-        if abs(term) < threshold or count == len(coeffs) - 1:
-            break
-        total += term
-        power = _mul(power, inv_y2, w)
-    floors = count + 1
-    rounding = floors + ((e + 2 * floors + 32) * (magnitude + floors) >> (w - 7)) + 1
+    threshold = _units(small, f, w) if small else 0
+    total, rounding, omitted, count = _term_sum(power, inv_y2, coeffs, f, w, e, threshold)
     return (lead + mpf((total, -f)), mp.ldexp(mpf(rounding), -f),
-            mp.ldexp(mpf(abs(term)), -f), count)
+            mp.ldexp(mpf(omitted), -f), count)
 
 
 def polygamma(n: int, x) -> EvalResult:
@@ -502,9 +502,8 @@ def polygamma(n: int, x) -> EvalResult:
         s, err, head_terms = power_sum(x, n + 1)
         value = (-1) ** (n + 1) * fact * s
         rounding = abs(value) * head_terms * rounding_unit()
-        return EvalResult(
-            value=value, error=float(fact * err + rounding), method="euler-maclaurin"
-        )
+        return EvalResult(value=value, error=float(fact * err + rounding),
+                          method="euler-maclaurin")
 
     shift = recurrence_shift(x)
     y = x + shift

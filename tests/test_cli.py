@@ -122,6 +122,14 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["--n", "3"], ["--method", "integral"], ["--method", "auto"]])
+    def test_option_psi2_does_not_read(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["eval", "--psi2", *argv, "--x", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == f"error: eval --psi2 does not read {argv[0]}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("tol", ["0", "-1"])
     def test_lemma_tolerance_must_be_positive(self, tol, capsys):
         assert main(["check", "--id", "lemma-I1", "--tol", tol]) == 2

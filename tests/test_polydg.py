@@ -16,6 +16,7 @@ from mpmath import mp, mpf
 from polydgamma import (
     DomainError,
     PolyDoubleArg,
+    hurwitz_zeta,
     log_barnes_g,
     log_gamma,
     polygamma,
@@ -38,7 +39,7 @@ from polydgamma.polydg import (
     psi2_grid,
 )
 from polydgamma.cli import CHECKS
-from polydgamma.specfun import EM_WEIGHTS, EvalResult
+from polydgamma.specfun import EvalResult, rounding_unit
 from polydgamma.verify import Grid
 
 def _kernel_density(n, t):
@@ -514,6 +515,55 @@ class TestCache:
         assert psi2_cached(3, x) == psi2_series(PolyDoubleArg(3, x))
 
 
+class TestKernelAccuracy:
+    """psi2_series, polygamma and hurwitz_zeta against 80-digit mp.psi.  Their
+    one kernel sums the Euler-Maclaurin tail from bernoulli_binomials, the
+    table that asymptotic_bernoulli_sum reads too."""
+
+    def test_series_and_polygamma_against_mpmath(self):
+        # Every nonzero claim holds; a claim past the double range reads inf.
+        # (101, 27.6) needs more than 14 corrections to reach 2e-21.
+        rng = random.Random(30)
+        draws = [(rng.randint(2, 170), 10 ** rng.uniform(-3, 12)) for _ in range(100)]
+        worst = {}
+        for n, x in [(101, 27.611506093085747)] + draws:
+            x = mpf(x)
+            results = (psi2_series(PolyDoubleArg(n, x)), polygamma(n, x),
+                       hurwitz_zeta(n + 1, x))
+            with mp.workdps(80):
+                psi_n = mp.psi(n, x)
+                truths = (-n * mp.psi(n - 1, x) + (1 - x) * psi_n, psi_n,
+                          (-1) ** (n + 1) * psi_n / mp.factorial(n))
+                for name, r, truth in zip(("series", "polygamma", "zeta"), results, truths):
+                    miss = abs(r.value - truth)
+                    assert not r.error or miss <= r.error, (n, x, name)
+                    worst[name] = max(worst.get(name, 0), miss / abs(truth))
+        # hurwitz_zeta stops at an absolute 1e-22, so only its claims count.
+        assert max(worst["series"], worst["polygamma"]) <= 2e-21, worst
+
+    @pytest.mark.parametrize("n, x, bound", [(300, 30, 2.5e-28), (1000, 100, 2.4e-32)])
+    def test_large_orders_no_worse(self, n, x, bound):
+        # Where pi b - n/2 is small the tail reads only the corrections that
+        # still fall, so no growing term enters.
+        r = psi2_series(PolyDoubleArg(n, mpf(x)))
+        with mp.workdps(80):
+            truth = -n * mp.psi(n - 1, x) + (1 - x) * mp.psi(n, x)
+            assert abs(r.value - truth) <= bound * abs(truth)
+
+    @pytest.mark.parametrize("p, x, N", [(0, "12", 6), (1, "30.5", 4), (4, "13", 6), (2, "100", 2)])
+    def test_bernoulli_sum_is_the_zeta_tail(self, p, x, N):
+        # sum_{k<=2N} B_k (p+k)!/(k! x^(p+k+1)) / (p+1)! is Euler-Maclaurin
+        # for zeta(p+2, x+1) through correction N, whose remainder lies below
+        # the omitted term: both read the same table.
+        x = mpf(x)
+        total, omitted = asymptotic_bernoulli_sum(p, x, N)
+        fact = mp.factorial(p + 1)
+        zeta = hurwitz_zeta(p + 2, x + 1)
+        rounding = 4 * rounding_unit() * zeta.value
+        assert abs(total.value / fact - zeta.value) <= (
+            (omitted + total.error) / fact + zeta.error + rounding)
+
+
 def _grid_term_by_term(n, x):
     """psi2_grid's value and error by the term-by-term loop it replaced: the
     head summed one term at a time, then one correction per iteration, each
@@ -530,7 +580,7 @@ def _grid_term_by_term(n, x):
         total = s
         prev = trunc = np.full(x.shape, np.inf)
         active = np.ones(x.shape, dtype=bool)
-        for q, weight in zip(range(1, 2 * len(EM_WEIGHTS), 2), _TAYLOR[2::2]):
+        for q, weight in zip(range(1, 2 * polydg.GRID_CORRECTIONS, 2), _TAYLOR[2::2]):
             term = weight * (d1 + d2)
             total = np.where(active, total + term, total)
             trunc = np.where(active, np.maximum(abs(term), prev), trunc)
